@@ -7,6 +7,16 @@ cosine series ``sum_n gamma_n cos(n*theta)``; removing every frequency below
 ``kappa`` is exactly what makes the process stationary over allowable
 measures of that order.
 
+A series model is evaluated through the factored identity
+``cos n(x - y) = cos nx cos ny + sin nx sin ny``: for each block of
+frequencies the points get feature columns ``cos(f x)``, ``sin(f x)``, and
+``sum_n gamma_n cos n(x_i - y_j)`` is accumulated by one matrix product of
+those features.  An ``n`` by ``m`` Gram over ``F`` frequencies therefore
+costs ``O((n + m) F)`` sines and cosines plus ``O(n m F)`` multiply-adds in
+BLAS.  Its temporaries are one product the size of the output plus feature
+blocks of about ``_BLOCK_ELEMENTS`` (point, frequency) pairs, so they never
+grow with ``F`` or with ``n m F``.
+
 Two classic periodic smoothing-spline kernels (``gamma_n = 2/n**(2m)``,
 m = 1, 2) have closed polynomial forms and are provided directly.
 """
@@ -31,9 +41,10 @@ __all__ = [
     "phi_from_variogram",
 ]
 
-# Frequencies are processed in blocks of this size so that dense power-law
-# models with very large cutoffs never materialize huge outer products.
-_CHUNK = 4096
+# Feature blocks hold at most this many (point, frequency) pairs, so dense
+# power-law models with large cutoffs and long lag lists never materialize a
+# points-by-frequencies array.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -159,6 +170,9 @@ class SpectralModel:
     @classmethod
     def from_config(cls, cfg: dict) -> "SpectralModel":
         """Rebuild a model from its :meth:`to_config` dictionary."""
+        if not isinstance(cfg, dict):
+            raise ValueError("spectrum must be an object with 'kappa' and "
+                             f"'type' keys, got {cfg!r}")
         kind = cfg.get("type")
         kappa = cfg.get("kappa")
         if kind == "list":
@@ -169,25 +183,54 @@ class SpectralModel:
         raise ValueError(f"unknown spectrum type {kind!r}")
 
 
-def _series_eval(model: SpectralModel, lag: np.ndarray) -> np.ndarray:
-    """Truncated cosine series at canonical lags, chunked over frequency."""
-    flat = np.ravel(lag)
-    out = np.zeros(flat.size)
-    freqs = model.frequencies()
+def _features(t: np.ndarray, f: np.ndarray, weight,
+              sines: bool) -> np.ndarray:
+    """Columns ``weight * cos(f t)`` followed, if ``sines``, by the sines."""
+    arg = np.multiply.outer(t, f)
+    feats = np.empty((t.size, 2 if sines else 1, f.size))
+    np.cos(arg, out=feats[:, 0])
+    if sines:
+        np.sin(arg, out=feats[:, 1])
+    if weight is not None:
+        feats *= weight
+    return feats.reshape(t.size, -1)
+
+
+def _harmonic_sum(model: SpectralModel, x: np.ndarray, y: np.ndarray | None,
+                  shift: float) -> np.ndarray:
+    """``shift + sum_n gamma_n cos n(x_i - y_j)`` as a (len(x), len(y)) array.
+
+    Frequencies are taken ``_BLOCK_ELEMENTS // rows`` at a time, at least
+    one, so the cosine (and sine) features of all rows hold about
+    ``_BLOCK_ELEMENTS`` entries each.  With ``y=None`` the Gram of ``x``
+    with itself is built from one feature array scaled by ``sqrt(gamma)``,
+    whose product with its own transpose is exactly symmetric.  When every
+    ``y`` is zero the sine columns vanish and are skipped.
+    """
+    freqs = model.frequencies().astype(float)
     gams = model.gammas()
-    for start in range(0, freqs.size, _CHUNK):
-        f = freqs[start:start + _CHUNK]
-        g = gams[start:start + _CHUNK]
-        out += g @ np.cos(np.multiply.outer(f.astype(float), flat))
-    return out.reshape(np.shape(lag))
+    sines = y is None or bool(np.any(y))
+    rows = x.size if y is None else x.size + y.size
+    step = max(1, _BLOCK_ELEMENTS // max(rows, 1))
+    out = np.full((x.size, x.size if y is None else y.size), shift)
+    for start in range(0, freqs.size, step):
+        f = freqs[start:start + step]
+        g = gams[start:start + step]
+        if y is None:
+            feats = _features(x, f, np.sqrt(g), sines)
+            out += feats @ feats.T
+        else:
+            out += _features(x, f, g, sines) @ _features(y, f, None, sines).T
+    return out
 
 
 class IntrinsicCovariance:
     """Callable covariance ``phi(theta) = sum_{n>=kappa} gamma_n cos(n theta)``.
 
-    Evaluation is by the (possibly truncated) series unless ``closed_form``
-    is supplied, in which case that function of the canonical lag in
-    [0, 2*pi) is used instead and carries no truncation error.
+    Evaluation is by the (possibly truncated) series, summed in factored
+    form (see the module docstring), unless ``closed_form`` is supplied, in
+    which case that function of the canonical lag in [0, 2*pi) is used
+    instead and carries no truncation error.
 
     ``shift`` adds a constant to every value.  For orders >= 1 a constant is
     annihilated by every allowable measure, so shifted and unshifted models
@@ -217,9 +260,11 @@ class IntrinsicCovariance:
         canonical = wrap(np.asarray(lag, dtype=float))
         if self.closed_form is not None:
             vals = np.asarray(self.closed_form(canonical), dtype=float)
-        else:
-            vals = _series_eval(self.model, np.asarray(canonical))
-        return (vals + self.shift)[()]
+            return (vals + self.shift)[()]
+        # Values at lags are sums against the origin, where sines vanish.
+        vals = _harmonic_sum(self.model, np.ravel(canonical), np.zeros(1),
+                             self.shift)
+        return vals.reshape(np.shape(canonical))[()]
 
     @cached_property
     def phi0(self) -> float:
@@ -227,10 +272,22 @@ class IntrinsicCovariance:
         return float(self(0.0))
 
     def gram(self, x, y=None) -> np.ndarray:
-        """Matrix ``phi(x_i - y_j)``; ``y`` defaults to ``x``."""
+        """Matrix ``phi(x_i - y_j)``; ``y`` defaults to ``x``.
+
+        A series model never forms the lag matrix: the sum is accumulated
+        from ``cos(n x)``, ``sin(n x)`` features of the points by matrix
+        products, at ``O((n + m) F)`` sines and cosines plus ``O(n m F)``
+        BLAS multiply-adds for ``F`` frequencies, with temporaries bounded
+        by the output plus a fixed-size feature block.  A closed form is
+        applied to the canonical lag matrix.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = x if y is None else np.atleast_1d(np.asarray(y, dtype=float))
-        return self(np.subtract.outer(x, y))
+        if y is not None:
+            y = np.atleast_1d(np.asarray(y, dtype=float))
+        if self.closed_form is not None:
+            return self(np.subtract.outer(x, x if y is None else y))
+        return _harmonic_sum(self.model, wrap(x),
+                             None if y is None else wrap(y), self.shift)
 
     def with_shift(self, shift: float) -> "IntrinsicCovariance":
         """Same spectral content with the constant replaced by ``shift``."""

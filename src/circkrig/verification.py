@@ -20,6 +20,7 @@ from .circle import (
     DiscreteMeasure,
     NilSpaceBasis,
     angular_distance,
+    wrap,
 )
 from .covariance import (
     IntrinsicCovariance,
@@ -214,6 +215,86 @@ def _random_spectrum(rng, kappa: int, n_freq: int) -> SpectralModel:
     return SpectralModel.from_list(kappa, rng.uniform(0.1, 2.0, n_freq))
 
 
+# Frequencies per block of the explicit-lag oracle below.
+_ORACLE_CHUNK = 4096
+# Models per kernel-suite run checked against the oracle.
+_SERIES_MODELS = 8
+
+
+def _series_oracle(model: SpectralModel, lag: np.ndarray) -> np.ndarray:
+    """Series ``sum_n gamma_n cos(n * lag)`` evaluated lag by lag.
+
+    The reference for the factored evaluation in ``IntrinsicCovariance``:
+    it forms one cosine per lag and frequency, with a temporary of
+    ``_ORACLE_CHUNK`` times the number of lags, so it is meant for
+    verification-sized inputs only.
+    """
+    flat = np.ravel(lag)
+    out = np.zeros(flat.size)
+    freqs = model.frequencies()
+    gams = model.gammas()
+    for start in range(0, freqs.size, _ORACLE_CHUNK):
+        f = freqs[start:start + _ORACLE_CHUNK]
+        g = gams[start:start + _ORACLE_CHUNK]
+        out += g @ np.cos(np.multiply.outer(f.astype(float), flat))
+    return out.reshape(np.shape(lag))
+
+
+def _series_model(rng, kappa: int, index: int) -> SpectralModel:
+    """Alternately a list of up to ~2000 weights and a power law cut off at
+    up to 10**4, both with log-uniform sizes."""
+    if index % 2 == 0:
+        n_freq = int(np.exp(rng.uniform(math.log(2.0), math.log(2000.0))))
+        return _random_spectrum(rng, kappa, n_freq)
+    n_max = int(np.exp(rng.uniform(math.log(kappa + 1.0),
+                                   math.log(10_000.0))))
+    return SpectralModel.power_law(kappa, float(rng.uniform(0.5, 2.0)),
+                                   float(rng.uniform(1.5, 4.0)), n_max=n_max)
+
+
+def _series_rounding_bound(model: SpectralModel) -> float:
+    """Rounding allowance shared by every float64 evaluation of the series.
+
+    At a canonical lag below ``2*pi`` the argument ``n * lag`` carries an
+    absolute error near ``eps * 2*pi * n``, which moves term ``n`` by up to
+    ``gamma_n`` times that; summation adds about ``eps`` times the mass.
+    The bound is 16 times ``eps * (2*pi * sum_n n gamma_n + sum_n gamma_n)``.
+    """
+    n = model.frequencies().astype(float)
+    g = model.gammas()
+    eps = np.finfo(float).eps
+    return float(16.0 * eps * (TWO_PI * (n @ g) + g.sum()))
+
+
+def _series_agreement(rng, n_models: int) -> float:
+    """Worst gap between the factored covariance and the oracle, in units
+    of :func:`_series_rounding_bound`.
+
+    Each model carries a shift of up to its own mass and is evaluated on
+    angles in [-20, 20]: a cross Gram, a symmetric Gram and a lag list.
+    """
+    worst = 0.0
+    for i in range(n_models):
+        model = _series_model(rng, int(rng.integers(1, 4)), i)
+        shift = float(rng.uniform(-1.0, 1.0)) * model.total_mass()
+        cov = IntrinsicCovariance(model, shift=shift)
+        x, y, lags = (rng.uniform(-20.0, 20.0, int(rng.integers(1, size)))
+                      for size in (25, 25, 50))
+
+        def oracle(lag):
+            return _series_oracle(model, wrap(lag)) + shift
+
+        gap = max(
+            float(np.max(np.abs(cov.gram(x, y)
+                                - oracle(np.subtract.outer(x, y))))),
+            float(np.max(np.abs(cov.gram(x)
+                                - oracle(np.subtract.outer(x, x))))),
+            float(np.max(np.abs(cov(lags) - oracle(lags)))),
+        )
+        worst = max(worst, gap / _series_rounding_bound(model))
+    return worst
+
+
 def _injected_covariance(rng, kappa: int, n_freq: int) -> IntrinsicCovariance:
     """A covariance whose series has one negative weight (for negative
     controls); validation is bypassed through the closed-form hook."""
@@ -233,12 +314,16 @@ def _injected_covariance(rng, kappa: int, n_freq: int) -> IntrinsicCovariance:
 
 def kernel_checks(seed: int = 0, n_sets: int = 50, max_points: int = 40,
                   negative_gamma: bool = False) -> Report:
-    """Positive semidefiniteness and the reproducing property.
+    """Positive semidefiniteness, the reproducing property, and agreement
+    of the series covariance with its explicit-lag oracle.
 
     Random finite-spectrum models of orders 1..3 are evaluated on random
     point sets; Gram eigenvalues must not dip below ``-1e-10`` times the
     largest, and pairing a kernel section with a random in-space function
-    must return its point value to 1e-9.
+    must return its point value to 1e-9.  Over ``_SERIES_MODELS`` further
+    models, lists of up to ~2000 weights and power laws cut off at up to
+    10**4, ``IntrinsicCovariance.gram`` and evaluation at lags must match
+    :func:`_series_oracle` within :func:`_series_rounding_bound`.
 
     ``negative_gamma`` flips one spectral weight negative (the model
     constructor forbids this, so the bad series enters through the
@@ -274,6 +359,7 @@ def kernel_checks(seed: int = 0, n_sets: int = 50, max_points: int = 40,
         ip = full_inner_product(kernel.section(x0), f, kernel)
         err = abs(ip - float(f(x0))) / max(1.0, abs(float(f(x0))))
         worst_reprod = max(worst_reprod, err)
+    worst_series = _series_agreement(rng, _SERIES_MODELS)
 
     return Report([
         CheckResult("kernel-positive-semidefinite", worst_eig, 1.0e-10,
@@ -282,6 +368,11 @@ def kernel_checks(seed: int = 0, n_sets: int = 50, max_points: int = 40,
         CheckResult("kernel-reproducing", worst_reprod, 1.0e-9,
                     worst_reprod <= 1.0e-9,
                     "worst |<H(x,.), f> - f(x)| over random sections"),
+        CheckResult("gram-series-agreement", worst_series, 1.0,
+                    worst_series <= 1.0,
+                    "worst gap to the explicit-lag series over "
+                    f"{_SERIES_MODELS} models, in units of the rounding "
+                    "bound"),
     ])
 
 
@@ -356,6 +447,20 @@ def primal_dual_checks(seed: int = 0, n_instances: int = 100,
     ])
 
 
+def _gaps_shrink(gaps, scale: float) -> bool:
+    """Whether each gap is at most the one before it, up to rounding.
+
+    A relative slack of 1e-9 and an absolute floor of 1e-12 times the data
+    scale.  At ``n == 2*kappa - 1`` universal kriging is trigonometric
+    regression exactly, so every gap is rounding noise (at most ~5e-15 of
+    the scale) in no particular order; genuine gaps with ``n`` above the
+    drift dimension start near 1e-7.
+    """
+    floor = 1.0e-12 * scale
+    return all(a >= b * (1.0 - 1.0e-9) - floor
+               for a, b in zip(gaps, gaps[1:]))
+
+
 def smoothing_limit_checks(seed: int = 0, n_instances: int = 20,
                            n_query: int = 20) -> Report:
     """Exact interpolation at zero nugget and the heavy-smoothing limit.
@@ -395,8 +500,7 @@ def smoothing_limit_checks(seed: int = 0, n_instances: int = 20,
                 t0s = rng.uniform(0.0, TWO_PI, n_query)
                 worst_moment = max(worst_moment, _unbiasedness_residual(
                     fit, t0s, kappa))
-        if not (gaps[0] >= gaps[1] * (1.0 - 1.0e-9)
-                and gaps[1] >= gaps[2] * (1.0 - 1.0e-9)):
+        if not _gaps_shrink(gaps, scale):
             monotone_breaks += 1
         worst_limit = max(worst_limit, gaps[2] / scale)
 
@@ -600,6 +704,9 @@ def run_verification(config: dict | None = None) -> Report:
     """
     cfg = dict(config or {})
     checks = cfg.get("checks", list(SUITE_NAMES))
+    if not isinstance(checks, (list, tuple)):
+        raise ValueError(f"checks must be a list of suite names, got "
+                         f"{checks!r}")
     unknown = [c for c in checks if c not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; pick from "

@@ -155,6 +155,18 @@ class TestFit:
         assert main(["fit", "--config", config]) == 1
         assert "kernel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_non_object_spectrum(self, tmp_path, capsys, command):
+        data = _write_data(tmp_path / "d.csv", [0.0, 1.0], [0.0, 1.0])
+        config = _write_json(tmp_path / "c.json", {
+            "model": {"spectrum": 5},
+            "io": {"data": data, "output": str(tmp_path / "o.csv")},
+        })
+        assert main([command, "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: spectrum must be an object")
+        assert "Traceback" not in err
+
 
 class TestSimulate:
     def test_deterministic_output(self, tmp_path):
@@ -286,6 +298,16 @@ class TestVerify:
         })
         assert main(["verify", "--config", config]) == 1
         assert "nonsense" in capsys.readouterr().err
+
+    def test_checks_must_be_a_list(self, tmp_path, capsys):
+        config = _write_json(tmp_path / "v.json", {
+            "verify": {"checks": "kernel"},
+            "io": {"output": str(tmp_path / "report.json")},
+        })
+        assert main(["verify", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checks must be a list of suite names")
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestParser:

@@ -1,19 +1,42 @@
 """Tests for spectral models, covariances, splines, and variograms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from circkrig import (
     TWO_PI,
+    Dataset,
     IntrinsicCovariance,
     Semivariogram,
     SpectralModel,
     SpectrumError,
     VariogramShiftError,
+    fit_universal,
     phi_from_variogram,
     spline_covariance,
     spline_kernel,
 )
+from circkrig.verification import _series_oracle, _series_rounding_bound
+
+# Ceiling on traced allocation beyond a call's own result.
+MEMORY_CEILING = 128 * 2**20
+
+
+def _peak_beyond_result(fn):
+    """Run ``fn`` under tracemalloc; return its result and the peak traced
+    allocation less the result's own bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(np.asarray(r).nbytes for r in
+               (result if isinstance(result, tuple) else (result,)))
+    return result, peak - held
 
 
 class TestSpectralModel:
@@ -138,6 +161,89 @@ class TestIntrinsicCovariance:
         shifted = base.with_shift(9.0)
         t = np.linspace(0, TWO_PI, 7)
         assert np.allclose(shifted(t), base(t) + 9.0, atol=1e-12)
+
+
+class TestFactoredSeries:
+    """The factored Gram against the explicit-lag oracle, and its memory."""
+
+    @pytest.mark.parametrize("model", [
+        SpectralModel.from_list(1, np.linspace(2.0, 0.1, 508)),
+        SpectralModel.from_list(3, np.full(2000, 0.5)),
+        SpectralModel.power_law(2, 1.5, 2.5),
+        SpectralModel.from_list(2, []),
+    ])
+    def test_matches_oracle(self, model):
+        rng = np.random.default_rng(11)
+        shift = -0.7 * model.total_mass() + 0.25
+        cov = IntrinsicCovariance(model, shift=shift)
+        x = rng.uniform(-20.0, 20.0, 17)
+        y = rng.uniform(-20.0, 20.0, 9)
+        lags = rng.uniform(-20.0, 20.0, (4, 5))
+        # Adding the shift rounds each path once more, by eps/2 of |shift|.
+        bound = _series_rounding_bound(model) + 4.0e-16 * abs(shift)
+
+        def oracle(lag):
+            return _series_oracle(model, np.mod(lag, TWO_PI)) + shift
+
+        assert np.max(np.abs(cov.gram(x, y)
+                             - oracle(np.subtract.outer(x, y)))) <= bound
+        assert np.max(np.abs(cov.gram(x)
+                             - oracle(np.subtract.outer(x, x)))) <= bound
+        assert cov(lags).shape == (4, 5)
+        assert np.max(np.abs(cov(lags) - oracle(lags))) <= bound
+
+    def test_symmetric_gram_is_exactly_symmetric(self):
+        rng = np.random.default_rng(12)
+        cov = IntrinsicCovariance(SpectralModel.power_law(1, 1.0, 3.0, 700))
+        gram = cov.gram(rng.uniform(0.0, TWO_PI, 60))
+        assert np.array_equal(gram, gram.T)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_closed_form_gram_is_the_kernel_on_lags(self, m):
+        rng = np.random.default_rng(13)
+        x = rng.uniform(-10.0, 10.0, 30)
+        y = rng.uniform(-10.0, 10.0, 20)
+        cov = spline_covariance(m)
+        assert np.array_equal(cov.gram(x, y),
+                              spline_kernel(m, x[:, None], y[None, :]))
+        assert np.array_equal(cov.gram(x),
+                              spline_kernel(m, x[:, None], x[None, :]))
+
+    def test_gram_memory_list_spectrum(self):
+        # 508 frequencies at 1000 points: the lag-matrix evaluation held a
+        # 3.78 GiB temporary here.
+        rng = np.random.default_rng(14)
+        cov = IntrinsicCovariance(
+            SpectralModel.from_list(1, rng.uniform(0.4, 2.0, 508)))
+        gram, extra = _peak_beyond_result(
+            lambda: cov.gram(rng.uniform(0.0, TWO_PI, 1000)))
+        assert gram.shape == (1000, 1000)
+        assert extra <= MEMORY_CEILING
+
+    def test_fit_memory_default_power_law(self):
+        # Default cutoff n_max = 10_000 at 400 points, then variances on a
+        # 256-point grid: the lag-matrix evaluation needed about 5.2 GB.
+        rng = np.random.default_rng(15)
+        model = SpectralModel.power_law(1, 1.0, 2.0)
+        data = Dataset(rng.uniform(0.0, TWO_PI, 400),
+                       rng.standard_normal(400))
+        grid = TWO_PI * np.arange(256) / 256
+        (pred, var), extra = _peak_beyond_result(
+            lambda: fit_universal(data, model, 0.01)
+            .predict_with_variance(grid))
+        assert np.all(np.isfinite(pred)) and np.all(var >= 0.0)
+        assert extra <= MEMORY_CEILING
+
+    def test_lag_memory_many_frequencies(self):
+        # 2e4 lags against ~5000 frequencies: the lag-by-lag evaluation held
+        # a 4096-frequency block of every lag's cosines, about 650 MB.
+        rng = np.random.default_rng(16)
+        cov = IntrinsicCovariance(
+            SpectralModel.from_list(2, rng.uniform(0.4, 2.0, 5000)))
+        vals, extra = _peak_beyond_result(
+            lambda: cov(rng.uniform(-10.0, 10.0, 20_000)))
+        assert vals.shape == (20_000,)
+        assert extra <= MEMORY_CEILING
 
 
 class TestSplineKernel:

@@ -183,14 +183,12 @@ class SpectralModel:
         raise ValueError(f"unknown spectrum type {kind!r}")
 
 
-def _features(t: np.ndarray, f: np.ndarray, weight,
-              sines: bool) -> np.ndarray:
-    """Columns ``weight * cos(f t)`` followed, if ``sines``, by the sines."""
+def _features(t: np.ndarray, f: np.ndarray, weight) -> np.ndarray:
+    """Columns ``weight * cos(f t)`` followed by ``weight * sin(f t)``."""
     arg = np.multiply.outer(t, f)
-    feats = np.empty((t.size, 2 if sines else 1, f.size))
+    feats = np.empty((t.size, 2, f.size))
     np.cos(arg, out=feats[:, 0])
-    if sines:
-        np.sin(arg, out=feats[:, 1])
+    np.sin(arg, out=feats[:, 1])
     if weight is not None:
         feats *= weight
     return feats.reshape(t.size, -1)
@@ -200,16 +198,15 @@ def _harmonic_sum(model: SpectralModel, x: np.ndarray, y: np.ndarray | None,
                   shift: float) -> np.ndarray:
     """``shift + sum_n gamma_n cos n(x_i - y_j)`` as a (len(x), len(y)) array.
 
-    Frequencies are taken ``_BLOCK_ELEMENTS // rows`` at a time, at least
-    one, so the cosine (and sine) features of all rows hold about
-    ``_BLOCK_ELEMENTS`` entries each.  With ``y=None`` the Gram of ``x``
-    with itself is built from one feature array scaled by ``sqrt(gamma)``,
-    whose product with its own transpose is exactly symmetric.  When every
-    ``y`` is zero the sine columns vanish and are skipped.
+    ``x`` and ``y`` are 1-D.  Frequencies are taken
+    ``_BLOCK_ELEMENTS // rows`` at a time, at least one, so the cosine and
+    sine features of all rows hold about ``_BLOCK_ELEMENTS`` entries each.
+    With ``y=None`` the Gram of ``x`` with itself is built from one feature
+    array scaled by ``sqrt(gamma)``, whose product with its own transpose is
+    exactly symmetric.
     """
     freqs = model.frequencies().astype(float)
     gams = model.gammas()
-    sines = y is None or bool(np.any(y))
     rows = x.size if y is None else x.size + y.size
     step = max(1, _BLOCK_ELEMENTS // max(rows, 1))
     out = np.full((x.size, x.size if y is None else y.size), shift)
@@ -217,10 +214,10 @@ def _harmonic_sum(model: SpectralModel, x: np.ndarray, y: np.ndarray | None,
         f = freqs[start:start + step]
         g = gams[start:start + step]
         if y is None:
-            feats = _features(x, f, np.sqrt(g), sines)
+            feats = _features(x, f, np.sqrt(g))
             out += feats @ feats.T
         else:
-            out += _features(x, f, g, sines) @ _features(y, f, None, sines).T
+            out += _features(x, f, g) @ _features(y, f, None).T
     return out
 
 
@@ -261,7 +258,6 @@ class IntrinsicCovariance:
         if self.closed_form is not None:
             vals = np.asarray(self.closed_form(canonical), dtype=float)
             return (vals + self.shift)[()]
-        # Values at lags are sums against the origin, where sines vanish.
         vals = _harmonic_sum(self.model, np.ravel(canonical), np.zeros(1),
                              self.shift)
         return vals.reshape(np.shape(canonical))[()]
@@ -282,12 +278,15 @@ class IntrinsicCovariance:
         applied to the canonical lag matrix.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if y is not None:
-            y = np.atleast_1d(np.asarray(y, dtype=float))
+        y = x if y is None else np.atleast_1d(np.asarray(y, dtype=float))
         if self.closed_form is not None:
-            return self(np.subtract.outer(x, x if y is None else y))
-        return _harmonic_sum(self.model, wrap(x),
-                             None if y is None else wrap(y), self.shift)
+            return self(np.subtract.outer(x, y))
+        # Points are summed as flat lists; the result keeps the lag-matrix
+        # shape ``x.shape + y.shape`` that the closed form gives.
+        flat_x = wrap(np.ravel(x))
+        flat_y = None if y is x else wrap(np.ravel(y))
+        out = _harmonic_sum(self.model, flat_x, flat_y, self.shift)
+        return out.reshape(x.shape + y.shape)
 
     def with_shift(self, shift: float) -> "IntrinsicCovariance":
         """Same spectral content with the constant replaced by ``shift``."""

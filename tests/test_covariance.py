@@ -198,6 +198,21 @@ class TestFactoredSeries:
         gram = cov.gram(rng.uniform(0.0, TWO_PI, 60))
         assert np.array_equal(gram, gram.T)
 
+    def test_gram_accepts_multidimensional_points_like_closed_form(self):
+        # Both model kinds return the lag-matrix shape x.shape + y.shape.
+        rng = np.random.default_rng(14)
+        x = rng.uniform(-10.0, 10.0, (3, 4))
+        y = rng.uniform(-10.0, 10.0, (2, 5))
+        series = IntrinsicCovariance(SpectralModel.power_law(1, 1.0, 2.0, 300))
+        closed = spline_covariance(1)
+        for cov in (series, closed):
+            assert cov.gram(x, y).shape == (3, 4, 2, 5)
+            assert cov.gram(x).shape == (3, 4, 3, 4)
+        assert np.array_equal(series.gram(x, y).reshape(12, 10),
+                              series.gram(x.ravel(), y.ravel()))
+        assert np.array_equal(series.gram(x).reshape(12, 12),
+                              series.gram(x.ravel()))
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_closed_form_gram_is_the_kernel_on_lags(self, m):
         rng = np.random.default_rng(13)

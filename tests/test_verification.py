@@ -45,7 +45,7 @@ class TestGramSeriesAgreement:
         features = covariance._features
         monkeypatch.setattr(
             covariance, "_features",
-            lambda t, f, weight, sines: features(t, f + 1.0, weight, sines))
+            lambda t, f, weight: features(t, f + 1.0, weight))
         check = _result(kernel_checks(0, n_sets=2), "gram-series-agreement")
         assert not check.passed
 

@@ -35,7 +35,6 @@ from .errors import (
 from .kriging import (
     Dataset,
     OrdinaryKrigingModel,
-    Prediction,
     UniversalKrigingModel,
     fit_ordinary,
     fit_universal,
@@ -80,7 +79,6 @@ __all__ = [
     "semi_inner_product",
     "full_inner_product",
     "Dataset",
-    "Prediction",
     "UniversalKrigingModel",
     "OrdinaryKrigingModel",
     "fit_universal",

@@ -20,6 +20,7 @@ import sys
 
 import numpy as np
 
+from . import config
 from .circle import TWO_PI, CardinalBasis
 from .covariance import IntrinsicCovariance, SpectralModel, spline_covariance
 from .errors import CircKrigError
@@ -109,8 +110,29 @@ def _angles_out(angles: np.ndarray, degrees: bool) -> np.ndarray:
     return np.degrees(angles) if degrees else angles
 
 
-def _build_covariance(model_cfg: dict) -> IntrinsicCovariance:
+def _path(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise _CommandError(f"{name} must be a path string, got {value!r}")
+    return value
+
+
+def _degrees(args, io_cfg: dict) -> bool:
+    return config.flag(io_cfg.get("degrees", False),
+                       "io.degrees") or args.degrees
+
+
+def _model_block(cfg: dict) -> tuple[dict, str | None]:
+    """The ``model`` block and its kernel name (``None`` if absent)."""
+    model_cfg = cfg.get("model")
+    if not isinstance(model_cfg, dict):
+        raise _CommandError("config needs a 'model' block")
     kernel = model_cfg.get("kernel")
+    if kernel is not None and not isinstance(kernel, str):
+        raise _CommandError(f"kernel must be a name, got {kernel!r}")
+    return model_cfg, kernel
+
+
+def _build_covariance(model_cfg: dict, kernel) -> IntrinsicCovariance:
     spectrum = model_cfg.get("spectrum")
     if (kernel is None) == (spectrum is None):
         raise _CommandError(
@@ -126,26 +148,24 @@ def _build_covariance(model_cfg: dict) -> IntrinsicCovariance:
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
-    model_cfg = cfg.get("model")
-    if not isinstance(model_cfg, dict):
-        raise _CommandError("config needs a 'model' block")
-    io_cfg = cfg.get("io", {})
-    degrees = bool(args.degrees or io_cfg.get("degrees", False))
-    data_path = args.data or io_cfg.get("data")
-    output = args.output or io_cfg.get("output")
+    model_cfg, kernel = _model_block(cfg)
+    io_cfg = config.block(cfg, "io")
+    degrees = _degrees(args, io_cfg)
+    data_path = _path(args.data or io_cfg.get("data", ""), "io.data")
+    output = _path(args.output or io_cfg.get("output", ""), "io.output")
     if not data_path or not output:
         raise _CommandError("fit needs a data path and an output path "
                             "(flags or the io block)")
 
-    covariance = _build_covariance(model_cfg)
-    nugget = float(cfg.get("nugget", 0.0))
+    covariance = _build_covariance(model_cfg, kernel)
+    nugget = config.number(cfg.get("nugget", 0.0), "nugget")
     basis_name = cfg.get("basis", "trig")
     tau = cfg.get("tau", "equispaced")
     if basis_name == "cardinal":
         if tau == "equispaced":
             basis = CardinalBasis(covariance.kappa)
         else:
-            nodes = np.asarray(tau, dtype=float)
+            nodes = config.numbers(tau, "tau")
             if degrees:
                 nodes = np.radians(nodes)
             basis = CardinalBasis(covariance.kappa, nodes)
@@ -162,12 +182,14 @@ def cmd_fit(args) -> int:
 
     points_cfg = io_cfg.get("prediction_points")
     if points_cfg is not None:
-        pred_pts = np.asarray(points_cfg, dtype=float)
-        if degrees:
-            pred_pts = np.radians(pred_pts)
+        points_cfg = config.numbers(points_cfg, "io.prediction_points")
+        pred_pts = np.radians(points_cfg) if degrees else points_cfg
+        grid_echo = {"prediction_points": points_cfg.tolist()}
     else:
-        grid_size = int(io_cfg.get("grid_size", 256))
+        grid_size = config.number(io_cfg.get("grid_size", 256),
+                                  "io.grid_size", integer=True, minimum=1)
         pred_pts = TWO_PI * np.arange(grid_size) / grid_size
+        grid_echo = {"grid_size": grid_size}
     vals, variances = model.predict_with_variance(pred_pts)
     vals = np.atleast_1d(vals)
     variances = np.atleast_1d(variances)
@@ -179,18 +201,16 @@ def cmd_fit(args) -> int:
 
     resolved = {
         "command": "fit",
-        "model": ({"kernel": model_cfg["kernel"]} if "kernel" in model_cfg
+        "model": ({"kernel": kernel} if kernel is not None
                   else {"spectrum": covariance.model.to_config()}),
         "nugget": nugget,
         "basis": basis_name,
         "tau": tau,
         "io": {
-            "data": str(data_path),
-            "output": str(output),
+            "data": data_path,
+            "output": output,
             "degrees": degrees,
-            **({"prediction_points": list(map(float, points_cfg))}
-               if points_cfg is not None
-               else {"grid_size": int(io_cfg.get("grid_size", 256))}),
+            **grid_echo,
         },
     }
     echo = _echo_config(output, resolved)
@@ -201,21 +221,25 @@ def cmd_fit(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    model_cfg = cfg.get("model")
-    if not isinstance(model_cfg, dict):
-        raise _CommandError("config needs a 'model' block")
-    sim_cfg = cfg.get("simulate", {})
-    io_cfg = cfg.get("io", {})
-    degrees = bool(args.degrees or io_cfg.get("degrees", False))
-    output = args.output or io_cfg.get("output")
+    model_cfg, kernel = _model_block(cfg)
+    sim_cfg = config.block(cfg, "simulate")
+    io_cfg = config.block(cfg, "io")
+    degrees = _degrees(args, io_cfg)
+    output = _path(args.output or io_cfg.get("output", ""), "io.output")
     if not output:
         raise _CommandError("simulate needs an output path")
-    n_real = int(sim_cfg.get("n_realizations", 1))
-    grid_size = int(sim_cfg.get("grid_size", 512))
-    seed = int(sim_cfg.get("seed", 0))
+    n_real = config.number(sim_cfg.get("n_realizations", 1),
+                           "simulate.n_realizations", integer=True)
+    grid_size = config.number(sim_cfg.get("grid_size", 512),
+                              "simulate.grid_size", integer=True)
+    seed = config.number(sim_cfg.get("seed", 0), "simulate.seed",
+                         integer=True)
     low_order = sim_cfg.get("low_order")
+    if isinstance(low_order, list):
+        low_order = config.numbers(low_order, "simulate.low_order").tolist()
+    elif low_order is not None:
+        low_order = config.number(low_order, "simulate.low_order")
 
-    kernel = model_cfg.get("kernel")
     if kernel == "brownian-bridge":
         if low_order is not None:
             raise _CommandError(
@@ -263,9 +287,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    verify_cfg = cfg.get("verify", {})
-    io_cfg = cfg.get("io", {})
-    output = args.output or io_cfg.get("output", "verify_report.json")
+    verify_cfg = config.block(cfg, "verify")
+    io_cfg = config.block(cfg, "io")
+    output = _path(args.output or io_cfg.get("output", "verify_report.json"),
+                   "io.output")
 
     report = run_verification(verify_cfg)
     for result in report.results:

@@ -29,6 +29,7 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import simpson
 
+from . import config
 from .circle import TWO_PI, wrap
 from .errors import SpectrumError, VariogramShiftError
 
@@ -174,13 +175,18 @@ class SpectralModel:
             raise ValueError("spectrum must be an object with 'kappa' and "
                              f"'type' keys, got {cfg!r}")
         kind = cfg.get("type")
-        kappa = cfg.get("kappa")
+        if kind not in ("list", "power"):
+            raise ValueError(f"unknown spectrum type {kind!r}")
+        kappa = config.number(cfg.get("kappa"), "spectrum kappa",
+                              integer=True)
         if kind == "list":
-            return cls.from_list(kappa, cfg.get("values", []))
-        if kind == "power":
-            return cls.power_law(kappa, cfg.get("a"), cfg.get("p"),
-                                 int(cfg.get("n_max", 10_000)))
-        raise ValueError(f"unknown spectrum type {kind!r}")
+            return cls.from_list(kappa, config.numbers(
+                cfg.get("values", []), "spectrum values"))
+        return cls.power_law(
+            kappa, config.number(cfg.get("a"), "spectrum a"),
+            config.number(cfg.get("p"), "spectrum p"),
+            config.number(cfg.get("n_max", 10_000), "spectrum n_max",
+                          integer=True))
 
 
 def _features(t: np.ndarray, f: np.ndarray, weight) -> np.ndarray:
@@ -191,7 +197,7 @@ def _features(t: np.ndarray, f: np.ndarray, weight) -> np.ndarray:
     np.sin(arg, out=feats[:, 1])
     if weight is not None:
         feats *= weight
-    return feats.reshape(t.size, -1)
+    return feats.reshape(t.size, 2 * f.size)
 
 
 def _harmonic_sum(model: SpectralModel, x: np.ndarray, y: np.ndarray | None,

@@ -7,9 +7,12 @@ The bordered system
 
 is solved once per fit (dual view: the predictor is an expansion in
 covariance sections plus a drift polynomial).  The same factorization with
-right-hand side ``(phi(t0 - t_i), q(t0))`` yields the pointwise weights
-``eta`` and multipliers ``rho`` (primal view: prediction-error variances).
-Both views give the same prediction.
+right-hand side ``(k, q) = (phi(t0 - t_i), q(t0))`` yields the pointwise
+weights ``eta`` and multipliers ``rho`` (primal view).  Both views give the
+same prediction, and the prediction-error variance is read off the primal
+solution as ``sigma2(t0) = phi(0) - eta.k - rho.q`` (Cressie, *Statistics
+for Spatial Data*, 1993, section 3.4): ``O(n m)`` work for ``m`` targets
+after the solve, and no ``n x n`` array besides the bordered matrix.
 
 ``sigma2`` has two equivalent readings: the variance of iid observation
 noise, and the penalty weight of the equivalent smoothing problem over the
@@ -34,7 +37,6 @@ from .errors import (
 
 __all__ = [
     "Dataset",
-    "Prediction",
     "UniversalKrigingModel",
     "OrdinaryKrigingModel",
     "fit_universal",
@@ -90,22 +92,13 @@ class Dataset:
         return self.points.size
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Point prediction with its prediction-error variance."""
-
-    location: float
-    value: float
-    kriging_variance: float
-
-
 class _SaddleSolver:
     """Bunch-Kaufman factorization with one iterative-refinement pass."""
 
     def __init__(self, matrix: np.ndarray, context: str):
         self._matrix = matrix
         self._context = context
-        anorm = np.linalg.norm(matrix, 1)
+        self._anorm = np.linalg.norm(matrix, 1)
         ldu, ipiv, info = lapack.dsytrf(matrix, lower=1)
         if info > 0:
             raise ConditioningError(
@@ -116,7 +109,7 @@ class _SaddleSolver:
             )
         if info < 0:
             raise ValueError(f"invalid argument {-info} to dsytrf")
-        rcond, info = lapack.dsycon(ldu, ipiv, anorm, lower=1)
+        rcond, info = lapack.dsycon(ldu, ipiv, self._anorm, lower=1)
         if info != 0 or not np.isfinite(rcond) or rcond <= _MIN_RCOND:
             raise ConditioningError(
                 f"{context} is singular to working precision (reciprocal "
@@ -137,7 +130,7 @@ class _SaddleSolver:
         if info == 0:
             x = x + dx
             resid = b - self._matrix @ x
-        scale = (np.linalg.norm(self._matrix, 1) * np.linalg.norm(x)
+        scale = (self._anorm * np.linalg.norm(x)
                  + np.linalg.norm(b) + np.finfo(float).tiny)
         rel = float(np.linalg.norm(resid) / scale)
         if not np.isfinite(rel) or rel > _MAX_RESIDUAL:
@@ -146,6 +139,16 @@ class _SaddleSolver:
                 "refinement; the system is too ill-conditioned to trust"
             )
         return x
+
+
+def _unbiasedness_measure(model, t0: float) -> DiscreteMeasure:
+    """The error functional as a measure: weights at the data angles and
+    -1 at the target.  Allowable at the model order by construction."""
+    eta, _ = model.weights([float(t0)])
+    return DiscreteMeasure(
+        np.concatenate([model.data.points, [float(t0)]]),
+        np.concatenate([eta[0], [-1.0]]),
+    )
 
 
 def _resolve_basis(basis, kappa: int):
@@ -190,13 +193,11 @@ class UniversalKrigingModel:
         self.basis = basis
 
         n, l = data.n, basis.dim
-        self._noisy_gram = covariance.gram(data.points)
-        self._noisy_gram[np.diag_indices(n)] += self.nugget
-        self._drift = basis.design_matrix(data.points)
         bordered = np.zeros((n + l, n + l))
-        bordered[:n, :n] = self._noisy_gram
-        bordered[:n, n:] = self._drift
-        bordered[n:, :n] = self._drift.T
+        bordered[:n, :n] = covariance.gram(data.points)
+        bordered[np.diag_indices(n)] += self.nugget
+        bordered[:n, n:] = basis.design_matrix(data.points)
+        bordered[n:, :n] = bordered[:n, n:].T
         self._solver = _SaddleSolver(bordered, "bordered kriging system")
         dual = self._solver.solve(np.concatenate([data.values, np.zeros(l)]))
         self.kernel_coeffs = dual[:n]
@@ -206,17 +207,25 @@ class UniversalKrigingModel:
     def kappa(self) -> int:
         return self.covariance.kappa
 
-    def _rhs(self, t0):
+    def _sections(self, t0):
+        """Covariance sections ``k`` (m, n) and drift values ``q`` (m, dim)
+        at the targets."""
         t0 = np.atleast_1d(np.asarray(t0, dtype=float))
-        phi_vec = self.covariance.gram(t0, self.data.points)
-        q_vec = self.basis.design_matrix(t0)
-        return t0, phi_vec, q_vec
+        return (self.covariance.gram(t0, self.data.points),
+                self.basis.design_matrix(t0))
+
+    def _primal(self, t0):
+        """``k``, ``q`` and the primal solution ``eta`` (m, n), ``rho``
+        (m, dim) from one solve with every target as a column."""
+        k, q = self._sections(t0)
+        sol = self._solver.solve(np.vstack([k.T, q.T]))
+        return k, q, sol[:self.data.n].T, sol[self.data.n:].T
 
     def predict(self, t0):
         """Predicted value(s) via the dual expansion; shape-preserving."""
         shape = np.shape(t0)
-        _, phi_vec, q_vec = self._rhs(t0)
-        vals = phi_vec @ self.kernel_coeffs + q_vec @ self.drift_coeffs
+        k, q = self._sections(t0)
+        vals = k @ self.kernel_coeffs + q @ self.drift_coeffs
         return vals.reshape(shape)[()]
 
     def weights(self, t0) -> tuple[np.ndarray, np.ndarray]:
@@ -224,45 +233,28 @@ class UniversalKrigingModel:
 
         Returns arrays of shape (len(t0), n) and (len(t0), dim).
         """
-        _, phi_vec, q_vec = self._rhs(t0)
-        rhs = np.vstack([phi_vec.T, q_vec.T])
-        sol = self._solver.solve(rhs)
-        return sol[:self.data.n].T, sol[self.data.n:].T
+        _, _, eta, rho = self._primal(t0)
+        return eta, rho
 
     def predict_with_variance(self, t0) -> tuple[np.ndarray, np.ndarray]:
         """Predictions and prediction-error variances at ``t0``.
 
-        The variance reading requires the noise interpretation of the
-        nugget: observations are the process plus iid noise of variance
-        ``nugget``, and the target is the noise-free process value.
+        The variance is ``phi(0) - eta.k - rho.q`` from the primal solve,
+        which costs ``O(n m)`` for ``m`` targets on top of it.  Its reading
+        requires the noise interpretation of the nugget: observations are
+        the process plus iid noise of variance ``nugget``, and the target
+        is the noise-free process value.
         """
         shape = np.shape(t0)
-        _, phi_vec, q_vec = self._rhs(t0)
-        rhs = np.vstack([phi_vec.T, q_vec.T])
-        sol = self._solver.solve(rhs)
-        eta = sol[:self.data.n]
-        vals = phi_vec @ self.kernel_coeffs + q_vec @ self.drift_coeffs
-        quad = np.einsum("nj,nj->j", eta, self._noisy_gram @ eta)
-        cross = np.einsum("jn,nj->j", phi_vec, eta)
-        var = quad - 2.0 * cross + self.covariance.phi0
+        k, q, eta, rho = self._primal(t0)
+        vals = k @ self.kernel_coeffs + q @ self.drift_coeffs
+        var = (self.covariance.phi0 - np.einsum("mn,mn->m", k, eta)
+               - np.einsum("ml,ml->m", q, rho))
         # Nonnegative in exact arithmetic; clamp rounding noise.
         var = np.maximum(var, 0.0)
         return vals.reshape(shape)[()], var.reshape(shape)[()]
 
-    def prediction(self, t0: float) -> Prediction:
-        vals, var = self.predict_with_variance([float(t0)])
-        return Prediction(float(wrap(float(t0))), float(vals[0]),
-                          float(var[0]))
-
-    def unbiasedness_measure(self, t0: float) -> DiscreteMeasure:
-        """The error functional as a measure: weights at the data angles
-        and -1 at the target.  Allowable at the model order by
-        construction."""
-        eta, _ = self.weights([float(t0)])
-        return DiscreteMeasure(
-            np.concatenate([self.data.points, [float(t0)]]),
-            np.concatenate([eta[0], [-1.0]]),
-        )
+    unbiasedness_measure = _unbiasedness_measure
 
 
 def fit_universal(data: Dataset, covariance, nugget: float = 0.0,
@@ -296,13 +288,11 @@ class OrdinaryKrigingModel:
         self.data = data
         self.semivariogram = semivariogram
         n = data.n
-        gamma = np.asarray(
-            semivariogram(np.subtract.outer(data.points, data.points)))
         bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = gamma
+        bordered[:n, :n] = semivariogram(
+            np.subtract.outer(data.points, data.points))
         bordered[:n, n] = 1.0
         bordered[n, :n] = 1.0
-        self._gamma = gamma
         self._solver = _SaddleSolver(bordered, "ordinary kriging system")
 
     def _solve(self, t0):
@@ -331,17 +321,7 @@ class OrdinaryKrigingModel:
         var = np.maximum(var, 0.0)
         return vals.reshape(shape)[()], var.reshape(shape)[()]
 
-    def prediction(self, t0: float) -> Prediction:
-        vals, var = self.predict_with_variance([float(t0)])
-        return Prediction(float(wrap(float(t0))), float(vals[0]),
-                          float(var[0]))
-
-    def unbiasedness_measure(self, t0: float) -> DiscreteMeasure:
-        eta, _ = self.weights([float(t0)])
-        return DiscreteMeasure(
-            np.concatenate([self.data.points, [float(t0)]]),
-            np.concatenate([eta[0], [-1.0]]),
-        )
+    unbiasedness_measure = _unbiasedness_measure
 
 
 def fit_ordinary(data: Dataset,

@@ -14,6 +14,7 @@ import math
 import numpy as np
 from scipy.integrate import simpson
 
+from . import config as _config
 from .circle import (
     TWO_PI,
     CardinalBasis,
@@ -406,13 +407,17 @@ def primal_dual_checks(seed: int = 0, n_instances: int = 100,
 
     Random instances over orders 1..3, data sizes up to 30, and nuggets
     {0, 0.1, 1}; also checks orthogonality of the dual data coefficients to
-    the drift and unbiasedness of the primal weights.
+    the drift, unbiasedness of the primal weights, and the kriging variance
+    ``phi0 - eta.k - rho.q`` against the quadratic form
+    ``eta.(Psi + nugget*I).eta - 2 eta.k + phi0`` with ``Psi`` rebuilt from
+    the covariance (bound 1e-9 relative to ``max(1, phi0)``).
     """
     rng = np.random.default_rng([seed, 303])
     sigmas = [0.0, 0.1, 1.0]
     worst_rel = 0.0
     worst_orth = 0.0
     worst_moment = 0.0
+    worst_var = 0.0
     for i in range(int(n_instances)):
         kappa = int(rng.integers(1, 4))
         dim = 2 * kappa - 1
@@ -435,6 +440,15 @@ def primal_dual_checks(seed: int = 0, n_instances: int = 100,
         worst_moment = max(worst_moment,
                            _unbiasedness_residual(fit, t0s, kappa))
 
+        cov = IntrinsicCovariance(model)
+        psi = cov.gram(fit.data.points) + nugget * np.eye(n)
+        quad = np.einsum("mi,ij,mj->m", eta, psi, eta)
+        cross = np.einsum("mi,mi->m", eta, cov.gram(t0s, fit.data.points))
+        oracle = np.maximum(quad - 2.0 * cross + cov.phi0, 0.0)
+        _, var = fit.predict_with_variance(t0s)
+        worst_var = max(worst_var, float(np.max(np.abs(var - oracle)))
+                        / max(1.0, cov.phi0))
+
     return Report([
         CheckResult("primal-dual-agreement", worst_rel, 1.0e-9,
                     worst_rel <= 1.0e-9,
@@ -444,6 +458,9 @@ def primal_dual_checks(seed: int = 0, n_instances: int = 100,
         CheckResult("unbiasedness-universal", worst_moment, 1.0e-8,
                     worst_moment <= 1.0e-8,
                     "worst low-order moment of the error measures"),
+        CheckResult("kriging-variance-agreement", worst_var, 1.0e-9,
+                    worst_var <= 1.0e-9,
+                    "against the quadratic form in the primal weights"),
     ])
 
 
@@ -711,36 +728,40 @@ def run_verification(config: dict | None = None) -> Report:
     if unknown:
         raise ValueError(f"unknown checks {unknown}; pick from "
                          f"{sorted(SUITE_NAMES)}")
-    seed = int(cfg.get("seed", 0))
-    tol_factor = float(cfg.get("tol_factor", 4.0))
-    inject = cfg.get("inject", {}) or {}
+
+    def count(key: str, default: int) -> int:
+        return _config.number(cfg.get(key, default), key, integer=True,
+                              minimum=1)
+
+    seed = _config.number(cfg.get("seed", 0), "seed", integer=True)
+    tol_factor = _config.number(cfg.get("tol_factor", 4.0), "tol_factor")
+    inject = _config.block(cfg, "inject")
 
     report = Report()
     if "measures" in checks:
-        report.extend(measure_checks(seed,
-                                     int(cfg.get("n_measures", 1000))))
+        report.extend(measure_checks(seed, count("n_measures", 1000)))
     if "splines" in checks:
         report.extend(spline_checks(seed))
     if "kernel" in checks:
         report.extend(kernel_checks(
-            seed, int(cfg.get("kernel_sets", 50)),
-            negative_gamma=bool(inject.get("negative_gamma", False))))
+            seed, count("kernel_sets", 50),
+            negative_gamma=_config.flag(inject.get("negative_gamma", False),
+                                        "inject.negative_gamma")))
     if "kriging" in checks:
         report.extend(primal_dual_checks(
-            seed, int(cfg.get("kriging_instances", 100))))
+            seed, count("kriging_instances", 100)))
     if "smoothing" in checks:
         report.extend(smoothing_limit_checks(
-            seed, int(cfg.get("smoothing_instances", 20))))
+            seed, count("smoothing_instances", 20)))
     if "ordinary" in checks:
         report.extend(ordinary_universal_checks(
-            seed, int(cfg.get("ordinary_instances", 50))))
+            seed, count("ordinary_instances", 50)))
     if "bridge-moments" in checks:
         report.extend(bridge_moment_checks(
-            seed, int(cfg.get("n_realizations", 20_000)),
-            int(cfg.get("grid_size", 512)), tol_factor=tol_factor))
+            seed, count("n_realizations", 20_000), count("grid_size", 512),
+            tol_factor=tol_factor))
     if "stationarity" in checks:
         report.extend(stationarity_checks(
-            seed, int(cfg.get("stationarity_realizations", 5000)),
-            int(cfg.get("stationarity_grid", 256)),
-            tol_factor=tol_factor))
+            seed, count("stationarity_realizations", 5000),
+            count("stationarity_grid", 256), tol_factor=tol_factor))
     return report

@@ -310,6 +310,88 @@ class TestVerify:
         assert not (tmp_path / "report.json").exists()
 
 
+_SPECTRUM = {"kappa": 1, "type": "list", "values": [1.0, 0.5]}
+
+
+def _fit_config(data, out, **changes):
+    cfg = {"model": {"spectrum": _SPECTRUM},
+           "io": {"data": data, "output": out, "grid_size": 8}}
+    for key, value in changes.items():
+        block, _, field = key.rpartition(".")
+        (cfg[block] if block else cfg)[field] = value
+    return cfg
+
+
+class TestConfigShapes:
+    """Wrong JSON types end in ``error: ...`` and exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"io": 5}, "'io' must be an object"),
+        ({"nugget": [1]}, "nugget must be a finite number"),
+        ({"io.grid_size": [4]}, "io.grid_size must be an integer"),
+        ({"model": {"kernel": ["x"]}}, "kernel must be a name"),
+        ({"model": {"spectrum": {"kappa": 1, "type": "power", "a": "x",
+                                 "p": 2.0}}},
+         "spectrum a must be a finite number"),
+        ({"model": {"spectrum": {"kappa": 1, "type": "power", "a": 1.0,
+                                 "p": 2.0, "n_max": [3]}}},
+         "spectrum n_max must be an integer"),
+        ({"io.degrees": "false"}, "io.degrees must be true or false"),
+        ({"io.data": 5}, "io.data must be a path string"),
+        ({"io.prediction_points": 1.0},
+         "io.prediction_points must be a list of numbers"),
+    ])
+    def test_fit(self, tmp_path, capsys, changes, message):
+        data = _write_data(tmp_path / "d.csv", [0.0, 2.0, 4.0],
+                           [1.0, -1.0, 0.5])
+        config = _write_json(tmp_path / "fit.json", _fit_config(
+            data, str(tmp_path / "o.csv"), **changes))
+        assert main(["fit", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"simulate": 5}, "'simulate' must be an object"),
+        ({"simulate": {"grid_size": [3]}},
+         "simulate.grid_size must be an integer"),
+        ({"model": {"kernel": {}}}, "kernel must be a name"),
+        ({"simulate": {"low_order": {}}},
+         "simulate.low_order must be a finite number"),
+    ])
+    def test_simulate(self, tmp_path, capsys, changes, message):
+        cfg = {"model": {"spectrum": _SPECTRUM},
+               "simulate": {"grid_size": 16},
+               "io": {"output": str(tmp_path / "o.csv")}, **changes}
+        config = _write_json(tmp_path / "sim.json", cfg)
+        assert main(["simulate", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"verify": 5}, "'verify' must be an object"),
+        ({"verify": {"checks": ["kernel"], "kernel_sets": [1]}},
+         "kernel_sets must be an integer"),
+        ({"verify": {"checks": ["kernel"], "inject": []}},
+         "'inject' must be an object"),
+    ])
+    def test_verify(self, tmp_path, capsys, changes, message):
+        cfg = {"io": {"output": str(tmp_path / "report.json")}, **changes}
+        config = _write_json(tmp_path / "v.json", cfg)
+        assert main(["verify", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_degrees_true_is_still_read(self, tmp_path):
+        data = _write_data(tmp_path / "d.csv", [0.0, 120.0, 240.0],
+                           [1.0, -1.0, 0.5])
+        out = tmp_path / "o.csv"
+        config = _write_json(tmp_path / "fit.json", _fit_config(
+            data, str(out), **{"io.degrees": True,
+                               "io.prediction_points": [120.0]}))
+        assert main(["fit", "--config", config]) == 0
+        row = _read_output(out)[0]
+        assert np.isclose(float(row["angle"]), 120.0)
+        assert np.isclose(float(row["prediction"]), -1.0, atol=1e-9)
+
+
 class TestParser:
     def test_missing_config_flag(self, capsys):
         with pytest.raises(SystemExit):

@@ -213,6 +213,14 @@ class TestFactoredSeries:
         assert np.array_equal(series.gram(x).reshape(12, 12),
                               series.gram(x.ravel()))
 
+    def test_gram_accepts_empty_points_like_closed_form(self):
+        x = np.linspace(0.0, 3.0, 4)
+        series = IntrinsicCovariance(SpectralModel.from_list(1, [1.0, 0.5]))
+        for cov in (series, spline_covariance(1)):
+            assert cov.gram([], x).shape == (0, 4)
+            assert cov.gram(x, []).shape == (4, 0)
+            assert cov.gram([]).shape == (0, 0)
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_closed_form_gram_is_the_kernel_on_lags(self, m):
         rng = np.random.default_rng(13)

@@ -176,10 +176,10 @@ class TestUniversalKriging:
         data = Dataset([0.0, 2.0, 4.0], [1.0, -1.0, 0.5])
         model = fit_universal(data, SpectralModel.from_list(1, [1.0, 0.5]),
                               0.0)
-        pred = model.prediction(2.0)
-        assert np.isclose(pred.value, -1.0, atol=1e-9)
-        assert pred.kriging_variance <= 1e-9
-        assert pred.location == 2.0
+        value, variance = model.predict_with_variance(2.0)
+        assert np.ndim(value) == 0 and np.ndim(variance) == 0
+        assert np.isclose(value, -1.0, atol=1e-9)
+        assert 0.0 <= variance <= 1e-9
 
     def test_scalar_shape(self):
         data = Dataset([0.0, 2.0, 4.0], [1.0, -1.0, 0.5])

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from circkrig import covariance
+from circkrig import UniversalKrigingModel, covariance
 from circkrig.verification import (
     _gaps_shrink,
     kernel_checks,
+    primal_dual_checks,
     run_verification,
     smoothing_limit_checks,
 )
@@ -48,6 +49,29 @@ class TestGramSeriesAgreement:
             lambda t, f, weight: features(t, f + 1.0, weight))
         check = _result(kernel_checks(0, n_sets=2), "gram-series-agreement")
         assert not check.passed
+
+
+class TestKrigingVarianceAgreement:
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_passes(self, seed):
+        check = _result(primal_dual_checks(seed, n_instances=12),
+                        "kriging-variance-agreement")
+        assert check.passed, check
+
+    def test_flags_a_dropped_drift_term(self, monkeypatch):
+        # phi0 - eta.k without the -rho.q term: at order 1, q = 1 and the
+        # multiplier rho is of the order of the variance itself.
+        def without_rho(model, t0):
+            k, _, eta, _ = model._primal(t0)
+            var = model.covariance.phi0 - np.einsum("mn,mn->m", k, eta)
+            return model.predict(t0), np.maximum(var, 0.0)
+
+        monkeypatch.setattr(UniversalKrigingModel, "predict_with_variance",
+                            without_rho)
+        check = _result(primal_dual_checks(0, n_instances=6),
+                        "kriging-variance-agreement")
+        assert not check.passed
+        assert check.statistic > 1.0e-3
 
 
 def test_checks_must_be_a_list():

@@ -50,7 +50,6 @@ from .rkhs import (
 from .simulate import (
     CoefficientSample,
     CouplingMoments,
-    Realization,
     check_coefficient_coupling,
     check_translation_stationarity,
     empirical_coefficients,
@@ -84,7 +83,6 @@ __all__ = [
     "fit_universal",
     "fit_ordinary",
     "trig_regression",
-    "Realization",
     "CoefficientSample",
     "CouplingMoments",
     "simulate_irf",

@@ -177,9 +177,6 @@ def cmd_fit(args) -> int:
     else:
         raise _CommandError(f"unknown basis {basis_name!r}")
 
-    angles, values = _read_series_csv(data_path, degrees)
-    model = fit_universal(Dataset(angles, values), covariance, nugget, basis)
-
     points_cfg = io_cfg.get("prediction_points")
     if points_cfg is not None:
         points_cfg = config.numbers(points_cfg, "io.prediction_points")
@@ -187,9 +184,14 @@ def cmd_fit(args) -> int:
         grid_echo = {"prediction_points": points_cfg.tolist()}
     else:
         grid_size = config.number(io_cfg.get("grid_size", 256),
-                                  "io.grid_size", integer=True, minimum=1)
+                                  "io.grid_size", integer=True, minimum=1,
+                                  maximum=config.MAX_PREDICTION_GRID)
         pred_pts = TWO_PI * np.arange(grid_size) / grid_size
         grid_echo = {"grid_size": grid_size}
+
+    angles, values = _read_series_csv(data_path, degrees)
+    model = fit_universal(Dataset(angles, values), covariance, nugget, basis)
+
     vals, variances = model.predict_with_variance(pred_pts)
     vals = np.atleast_1d(vals)
     variances = np.atleast_1d(variances)
@@ -228,10 +230,7 @@ def cmd_simulate(args) -> int:
     output = _path(args.output or io_cfg.get("output", ""), "io.output")
     if not output:
         raise _CommandError("simulate needs an output path")
-    n_real = config.number(sim_cfg.get("n_realizations", 1),
-                           "simulate.n_realizations", integer=True)
-    grid_size = config.number(sim_cfg.get("grid_size", 512),
-                              "simulate.grid_size", integer=True)
+    n_real, grid_size = config.simulation_size(sim_cfg)
     seed = config.number(sim_cfg.get("seed", 0), "simulate.seed",
                          integer=True)
     low_order = sim_cfg.get("low_order")
@@ -244,7 +243,7 @@ def cmd_simulate(args) -> int:
         if low_order is not None:
             raise _CommandError(
                 "low_order only applies to spectral models")
-        reals = simulate_brownian_bridge(grid_size, n_real, seed)
+        paths = simulate_brownian_bridge(grid_size, n_real, seed)
         model_echo = {"kernel": kernel}
     else:
         if kernel in _SPLINE_KERNELS:
@@ -260,16 +259,17 @@ def cmd_simulate(args) -> int:
                 f"unknown kernel {kernel!r} for simulation; pick from "
                 f"{sorted(_SPLINE_KERNELS) + ['brownian-bridge']} or give "
                 "a spectrum")
-        reals = simulate_irf(model, n_real, grid_size, seed,
+        paths = simulate_irf(model, n_real, grid_size, seed,
                              low_order=low_order)
         model_echo = ({"kernel": kernel} if kernel is not None
                       else {"spectrum": model.to_config()})
 
+    shown = _angles_out(TWO_PI * np.arange(grid_size) / grid_size, degrees)
+
     def rows():
-        for r in reals:
-            shown = _angles_out(r.grid, degrees)
-            for a, v in zip(shown, r.values):
-                yield _fmt(a), _fmt(v), str(r.index)
+        for i, path in enumerate(paths):
+            for a, v in zip(shown, path):
+                yield _fmt(a), _fmt(v), str(i)
 
     _write_csv(output, ["angle", "value", "realization"], rows())
     resolved = {

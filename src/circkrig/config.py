@@ -4,6 +4,9 @@ JSON lets any field hold any value; these readers turn a wrong type into a
 ``ValueError`` that names the field, so a malformed config ends in a clean
 error instead of a ``TypeError`` deep inside numpy.  JSON booleans are not
 accepted as numbers, and numbers are not accepted as booleans.
+
+Size fields have ceilings, so that no config can ask numpy for an array
+larger than the program is meant to hold.
 """
 
 from __future__ import annotations
@@ -13,7 +16,15 @@ from numbers import Integral, Real
 
 import numpy as np
 
-__all__ = ["block", "flag", "number", "numbers"]
+__all__ = ["block", "flag", "number", "numbers", "simulation_size",
+           "MAX_SIMULATED_VALUES", "MAX_PREDICTION_GRID"]
+
+# A simulate run holds its whole (n_realizations, grid_size) batch: 2**27
+# float64 values are 1 GiB.
+MAX_SIMULATED_VALUES = 2**27
+# A fit solves for every prediction point at once, so memory grows with
+# the data size times this.
+MAX_PREDICTION_GRID = 2**16
 
 
 def block(cfg: dict, key: str) -> dict:
@@ -30,7 +41,8 @@ def flag(value, name: str) -> bool:
     return value
 
 
-def number(value, name: str, *, integer: bool = False, minimum=None):
+def number(value, name: str, *, integer: bool = False, minimum=None,
+           maximum=None):
     """``value`` as a finite float, or as an int with ``integer=True``."""
     kind, what = ((Integral, "an integer") if integer
                   else (Real, "a finite number"))
@@ -39,6 +51,8 @@ def number(value, name: str, *, integer: bool = False, minimum=None):
         raise ValueError(f"{name} must be {what}, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value!r}")
     return int(value) if integer else float(value)
 
 
@@ -48,3 +62,17 @@ def numbers(value, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a list of numbers, got {value!r}")
     return np.array([number(v, f"{name}[{i}]") for i, v in enumerate(value)],
                     dtype=float)
+
+
+def simulation_size(sim_cfg: dict) -> tuple[int, int]:
+    """``(n_realizations, grid_size)`` of a ``simulate`` block, within
+    ``MAX_SIMULATED_VALUES`` values in all."""
+    grid_size = number(sim_cfg.get("grid_size", 512), "simulate.grid_size",
+                       integer=True, minimum=2, maximum=MAX_SIMULATED_VALUES)
+    n_real = number(sim_cfg.get("n_realizations", 1),
+                    "simulate.n_realizations", integer=True, minimum=0)
+    if n_real * grid_size > MAX_SIMULATED_VALUES:
+        raise ValueError(
+            f"simulate.n_realizations * simulate.grid_size must be <= "
+            f"{MAX_SIMULATED_VALUES} values, got {n_real} * {grid_size}")
+    return n_real, grid_size

@@ -10,14 +10,14 @@ measures of the model order annihilate it, so those functionals are
 unaffected.  The Brownian bridge sampler provides the classical example of
 a process that is stationary only through its order-1 increments.
 
-Determinism: realization ``i`` under master seed ``s`` always uses the
-generator ``numpy.random.default_rng([s, i])``, independent of batch size
-or order.
+Both samplers return one read-only ``(n_realizations, grid_size)`` array,
+and the checks below take one.  Row ``i`` is realization ``i`` at the
+angles ``2*pi*arange(G)/G``; under master seed ``s`` it always comes from
+``numpy.random.default_rng([s, i])``, independent of batch size or order.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,6 @@ from .errors import AliasingError, AllowabilityError
 from .report import CheckResult, Report
 
 __all__ = [
-    "Realization",
     "CoefficientSample",
     "CouplingMoments",
     "simulate_irf",
@@ -37,8 +36,6 @@ __all__ = [
     "check_translation_stationarity",
     "check_coefficient_coupling",
 ]
-
-logger = logging.getLogger(__name__)
 
 # Below this many realizations the stationarity test has no power and is
 # reported as failed rather than run.
@@ -53,36 +50,16 @@ def _grid(grid_size: int) -> np.ndarray:
     return TWO_PI * np.arange(grid_size) / grid_size
 
 
-@dataclass(frozen=True)
-class Realization:
-    """One simulated path sampled on an equispaced grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    seed: int
-    index: int
-    provenance: str
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if g.shape != v.shape or g.ndim != 1:
-            raise ValueError("grid and values must be 1-d arrays of "
-                             "equal length")
-        g = g.copy()
-        v = v.copy()
-        g.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def grid_size(self) -> int:
-        return self.grid.size
+def _fill_standard_normal(out: np.ndarray, seed: int) -> np.ndarray:
+    """Fill row ``i`` of ``out`` with the first draws of
+    ``default_rng([seed, i])``."""
+    for i, row in enumerate(out):
+        np.random.default_rng([seed, i]).standard_normal(out=row)
+    return out
 
 
 def simulate_irf(model: SpectralModel, n_realizations: int, grid_size: int,
-                 seed: int, low_order=None) -> list[Realization]:
+                 seed: int, low_order=None) -> np.ndarray:
     """Simulate the truncated process on an equispaced grid.
 
     Parameters
@@ -93,26 +70,28 @@ def simulate_irf(model: SpectralModel, n_realizations: int, grid_size: int,
     n_realizations : int
     grid_size : int
     seed : int
-        Master seed; realization ``i`` uses ``default_rng([seed, i])``.
+        Master seed; realization ``i`` uses ``default_rng([seed, i])``,
+        which draws the cosine coefficients, then the sine coefficients,
+        then any random drift coefficients.
     low_order : None, array_like, or float
         Drift-space content.  ``None`` adds nothing; an array of length
         ``2*kappa - 1`` adds that fixed polynomial to every realization; a
         positive float draws iid N(0, low_order**2) drift coefficients per
         realization.
+
+    Returns the read-only ``(n_realizations, grid_size)`` batch, made by one
+    inverse real FFT of the paths' half-spectra in ``O(n G log G)``.
     """
     if n_realizations < 0:
         raise ValueError("n_realizations must be >= 0")
     grid = _grid(grid_size)
-    freqs = model.frequencies()
     limit = (grid_size - 1) // 2
-    if freqs.size and freqs[-1] > limit:
+    n_freq = model.support_end - model.kappa + 1
+    if n_freq and model.support_end > limit:
         raise AliasingError(
-            f"model carries frequency {int(freqs[-1])} but a grid of size "
-            f"{grid_size} resolves only frequencies up to {limit}"
+            f"model carries frequency {model.support_end} but a grid of "
+            f"size {grid_size} resolves only frequencies up to {limit}"
         )
-    sd = np.sqrt(model.gammas())
-    cos_t = np.cos(np.multiply.outer(freqs.astype(float), grid))
-    sin_t = np.sin(np.multiply.outer(freqs.astype(float), grid))
 
     nil = NilSpaceBasis(model.kappa)
     fixed_drift = None
@@ -130,57 +109,61 @@ def simulate_irf(model: SpectralModel, n_realizations: int, grid_size: int,
                     f"{model.kappa}, got {coeffs.size}"
                 )
             fixed_drift = nil.design_matrix(grid) @ coeffs
-    drift_design = nil.design_matrix(grid) if drift_scale is not None else None
 
-    tag = (f"irf(kappa={model.kappa}, support=[{model.kappa},"
-           f"{model.support_end}], grid={grid_size})")
-    out = []
-    for i in range(int(n_realizations)):
-        rng = np.random.default_rng([seed, i])
-        coeff = rng.standard_normal((2, freqs.size)) * sd
-        vals = coeff[0] @ cos_t + coeff[1] @ sin_t
-        if fixed_drift is not None:
-            vals = vals + fixed_drift
-        elif drift_scale is not None:
-            vals = vals + drift_design @ (rng.standard_normal(nil.dim)
-                                          * drift_scale)
-        out.append(Realization(grid, vals, int(seed), i, tag))
-    return out
+    n_drift = nil.dim if drift_scale is not None else 0
+    z = _fill_standard_normal(
+        np.empty((int(n_realizations), 2 * n_freq + n_drift)), seed)
+    # Bin f of the half-spectrum holds (G/2)(a_f - i b_f), so the inverse
+    # real FFT returns sum_f a_f cos(f t) + b_f sin(f t) on the grid.
+    half = 0.5 * grid_size * np.sqrt(model.gammas())
+    spectrum = np.zeros((z.shape[0], grid_size // 2 + 1), dtype=complex)
+    band = spectrum[:, model.kappa:model.support_end + 1]
+    band.real = z[:, :n_freq] * half
+    band.imag = z[:, n_freq:2 * n_freq] * -half
+    paths = np.fft.irfft(spectrum, grid_size, axis=1)
+    if fixed_drift is not None:
+        paths += fixed_drift
+    elif drift_scale is not None:
+        paths += (z[:, 2 * n_freq:] * drift_scale) @ nil.design_matrix(grid).T
+    paths.flags.writeable = False
+    return paths
+
+
+def _bridge_factor(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``c_k`` and ``s_k / c_k`` for the interior nodes ``k = 1..G-1``.
+
+    ``B(t) / (2*pi - t)`` is a Brownian motion in the time
+    ``t / (2*pi - t)``, so with ``c_k = 2*pi - t_k`` and grid step ``h`` the
+    Cholesky factor of the interior covariance is ``L[k, j] = c_k s_j / c_j``
+    (``j <= k``), ``s_k = sqrt(2*pi*h*c_k / c_{k-1})``.
+    """
+    c = TWO_PI - _grid(grid_size)
+    s = np.sqrt(TWO_PI * (TWO_PI / grid_size) * c[1:] / c[:-1])
+    return c[1:], s / c[1:]
 
 
 def simulate_brownian_bridge(grid_size: int, n_realizations: int,
-                             seed: int) -> list[Realization]:
+                             seed: int) -> np.ndarray:
     """Sample the circular Brownian bridge on an equispaced grid.
 
     The covariance is ``2*pi*min(s, t) - s*t`` with the path pinned to zero
-    at angle 0.  Sampling is by Cholesky factorization of the interior
-    covariance; if that fails numerically a jitter of 1e-12 is added once,
-    with a logged warning.
+    at angle 0.  Path ``i`` is the Cholesky factor of the interior
+    covariance times ``G - 1`` draws of ``default_rng([seed, i])``; the
+    bridge is Markov, so that product is one ``O(G)`` cumulative sum
+    (Glasserman, *Monte Carlo Methods in Financial Engineering*, 2003,
+    section 3.1).  Returns the read-only ``(n_realizations, grid_size)``
+    batch.
     """
     if n_realizations < 0:
         raise ValueError("n_realizations must be >= 0")
-    grid = _grid(grid_size)
-    interior = grid[1:]
-    cov = (TWO_PI * np.minimum.outer(interior, interior)
-           - np.outer(interior, interior))
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        logger.warning(
-            "bridge covariance failed Cholesky at grid size %d; "
-            "retrying with 1e-12 jitter", grid_size)
-        cov[np.diag_indices_from(cov)] += 1.0e-12
-        chol = np.linalg.cholesky(cov)
-
-    tag = f"brownian-bridge(grid={grid_size})"
-    out = []
-    for i in range(int(n_realizations)):
-        rng = np.random.default_rng([seed, i])
-        path = np.empty(grid_size)
-        path[0] = 0.0
-        path[1:] = chol @ rng.standard_normal(grid_size - 1)
-        out.append(Realization(grid, path, int(seed), i, tag))
-    return out
+    c, step = _bridge_factor(grid_size)
+    paths = np.zeros((int(n_realizations), grid_size))
+    interior = _fill_standard_normal(paths[:, 1:], seed)
+    interior *= step
+    np.cumsum(interior, axis=1, out=interior)
+    interior *= c
+    paths.flags.writeable = False
+    return paths
 
 
 @dataclass(frozen=True)
@@ -196,7 +179,7 @@ class CoefficientSample:
     sin_coeffs: np.ndarray
 
 
-def _coefficient_arrays(values: np.ndarray, grid: np.ndarray,
+def _coefficient_arrays(values: np.ndarray,
                         n_max: int) -> tuple[np.ndarray, np.ndarray,
                                              np.ndarray]:
     """Vectorized coefficient recovery for rows of ``values``.
@@ -205,7 +188,7 @@ def _coefficient_arrays(values: np.ndarray, grid: np.ndarray,
     harmonics exactly as long as all frequencies stay at or below
     ``(G - 1) // 2``.
     """
-    g = grid.size
+    g = values.shape[-1]
     if n_max > (g - 1) // 2:
         raise AliasingError(
             f"cannot recover frequency {n_max} from a grid of size {g}; "
@@ -216,28 +199,29 @@ def _coefficient_arrays(values: np.ndarray, grid: np.ndarray,
         empty = np.zeros(values.shape[:-1] + (0,))
         return z0, empty, empty
     n = np.arange(1, n_max + 1, dtype=float)
-    ang = np.multiply.outer(n, grid)
+    ang = np.multiply.outer(n, _grid(g))
     cos_c = (2.0 / g) * (values @ np.cos(ang).T)
     sin_c = (2.0 / g) * (values @ np.sin(ang).T)
     return z0, cos_c, sin_c
 
 
-def empirical_coefficients(realization: Realization,
-                           n_max: int) -> CoefficientSample:
-    """Recover mean and harmonic coefficients up to ``n_max`` from a path."""
-    z0, cos_c, sin_c = _coefficient_arrays(realization.values[None, :],
-                                           realization.grid, n_max)
+def empirical_coefficients(path, n_max: int) -> CoefficientSample:
+    """Recover mean and harmonic coefficients up to ``n_max`` from one path
+    sampled at ``2*pi*arange(G)/G``."""
+    values = np.asarray(path, dtype=float)
+    if values.ndim != 1:
+        raise ValueError("a path must be a 1-d array")
+    z0, cos_c, sin_c = _coefficient_arrays(values[None, :], n_max)
     return CoefficientSample(float(z0[0]), cos_c[0], sin_c[0])
 
 
-def _stacked(realizations) -> tuple[np.ndarray, np.ndarray]:
-    if not realizations:
-        raise ValueError("no realizations given")
-    grid = realizations[0].grid
-    for r in realizations[1:]:
-        if r.grid.shape != grid.shape or not np.array_equal(r.grid, grid):
-            raise ValueError("realizations must share one grid")
-    return grid, np.stack([r.values for r in realizations])
+def _batch(paths) -> np.ndarray:
+    """``paths`` as a non-empty ``(n_realizations, grid_size)`` array."""
+    values = np.asarray(paths, dtype=float)
+    if values.ndim != 2 or values.shape[0] == 0:
+        raise ValueError("paths must be a non-empty (n_realizations, "
+                         "grid_size) array")
+    return values
 
 
 def _snap_to_grid(angles: np.ndarray, grid_size: int, what: str) -> np.ndarray:
@@ -255,14 +239,15 @@ def _snap_to_grid(angles: np.ndarray, grid_size: int, what: str) -> np.ndarray:
     return idx.astype(int) % grid_size
 
 
-def check_translation_stationarity(realizations, measure: DiscreteMeasure,
+def check_translation_stationarity(paths, measure: DiscreteMeasure,
                                    kappa: int, lags=None,
                                    tol_factor: float = 4.0,
                                    min_realizations: int =
                                    MIN_STATIONARITY_SAMPLES) -> Report:
     """Test that the aggregated process is translation stationary.
 
-    For an allowable measure ``lambda`` of order ``kappa`` the functional
+    ``paths`` holds one realization per row, sampled at
+    ``2*pi*arange(G)/G`` for its width ``G``.  For an allowable measure ``lambda`` of order ``kappa`` the functional
     ``Y(t) = sum_i w_i Z(t_i + t)`` must have constant (zero) mean and a
     covariance depending only on the lag between shifts.  ``Y`` is
     evaluated at shift angles ``lags`` (grid-aligned; defaults to eight
@@ -275,14 +260,14 @@ def check_translation_stationarity(realizations, measure: DiscreteMeasure,
     requirement); this is the negative control for processes that are only
     intrinsically stationary.
     """
-    grid, values = _stacked(realizations)
-    n_real = values.shape[0]
+    values = _batch(paths)
+    n_real, g = values.shape
+    grid = _grid(g)
     if kappa >= 1 and not measure.is_allowable(kappa, tol=1.0e-8):
         raise AllowabilityError(
             f"measure is not allowable at order {kappa}; the stationarity "
             "claim only covers allowable measures"
         )
-    g = grid.size
     atom_idx = _snap_to_grid(measure.locations, g, "measure atom")
     if lags is None:
         lag_idx = np.arange(8) * (g // 8) if g >= 8 else np.arange(g)
@@ -377,14 +362,16 @@ def _mean_and_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             samples.std(axis=0, ddof=1) / np.sqrt(n))
 
 
-def check_coefficient_coupling(realizations, n_max: int) -> CouplingMoments:
+def check_coefficient_coupling(paths, n_max: int) -> CouplingMoments:
     """Sample cross-moments of the empirical coefficients up to ``n_max``.
+
+    ``paths`` holds one realization per row, as the samplers return them.
 
     Usable standard errors need on the order of 1e4 realizations; the
     caller is expected to compare the moments against its model targets.
     """
-    grid, values = _stacked(realizations)
-    z0, cos_c, sin_c = _coefficient_arrays(values, grid, n_max)
+    values = _batch(paths)
+    z0, cos_c, sin_c = _coefficient_arrays(values, n_max)
 
     z0_sq, z0_sq_se = _mean_and_se(z0[:, None] ** 2)
     z0_cos, z0_cos_se = _mean_and_se(z0[:, None] * cos_c)

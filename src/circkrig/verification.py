@@ -607,6 +607,104 @@ def _bridge_mean_variance_oracle(panels: int = 400) -> float:
     return float(simpson(inner, x=grid) / (4.0 * np.pi**2))
 
 
+def _irf_oracle(model: SpectralModel, n_realizations: int, grid_size: int,
+                seed: int, low_order=None) -> np.ndarray:
+    """:func:`simulate_irf`'s paths by explicit synthesis.
+
+    Builds the ``F x G`` cosine and sine matrices and sums the coefficients
+    of each path against them, one ``default_rng([seed, i])`` per path in
+    the sampler's draw order; meant for verification-sized grids only.
+    """
+    grid = TWO_PI * np.arange(grid_size) / grid_size
+    freqs = model.frequencies().astype(float)
+    sd = np.sqrt(model.gammas())
+    cos_t = np.cos(np.multiply.outer(freqs, grid))
+    sin_t = np.sin(np.multiply.outer(freqs, grid))
+    design = NilSpaceBasis(model.kappa).design_matrix(grid)
+    out = np.empty((n_realizations, grid_size))
+    for i in range(n_realizations):
+        rng = np.random.default_rng([seed, i])
+        coeff = rng.standard_normal((2, freqs.size)) * sd
+        out[i] = coeff[0] @ cos_t + coeff[1] @ sin_t
+        if low_order is None:
+            continue
+        if np.ndim(low_order) == 0:
+            drift = rng.standard_normal(design.shape[1]) * low_order
+        else:
+            drift = np.asarray(low_order, dtype=float)
+        out[i] += design @ drift
+    return out
+
+
+def _bridge_oracle(grid_size: int, n_realizations: int,
+                   seed: int) -> np.ndarray:
+    """:func:`simulate_brownian_bridge`'s paths from a dense Cholesky
+    factor of the interior covariance ``2*pi*min(s, t) - s*t``.
+
+    ``O(G^3)`` time and ``O(G^2)`` memory; meant for verification-sized
+    grids only.
+    """
+    interior = TWO_PI * np.arange(1, grid_size) / grid_size
+    chol = np.linalg.cholesky(TWO_PI * np.minimum.outer(interior, interior)
+                              - np.outer(interior, interior))
+    out = np.zeros((n_realizations, grid_size))
+    for i in range(n_realizations):
+        rng = np.random.default_rng([seed, i])
+        out[i, 1:] = chol @ rng.standard_normal(grid_size - 1)
+    return out
+
+
+# Grids per stationarity-suite run on which both samplers meet their
+# oracles; the first is always the largest, 1024 points.
+_SYNTHESIS_GRIDS = 6
+_SYNTHESIS_MAX_GRID = 1024
+
+
+def _synthesis_gap(paths: np.ndarray, oracle: np.ndarray) -> float:
+    """``max |paths - oracle|`` in units of
+    ``16 eps G max(1, max |oracle|)``."""
+    eps = np.finfo(float).eps
+    scale = max(1.0, float(np.max(np.abs(oracle))))
+    bound = 16.0 * eps * oracle.shape[1] * scale
+    return float(np.max(np.abs(paths - oracle))) / bound
+
+
+def _synthesis_agreement(rng, n_grids: int) -> float:
+    """Worst gap of either sampler against its oracle over ``n_grids``
+    grids, in units of :func:`_synthesis_gap`'s bound.
+
+    Spectra alternate between random lists and power laws cut off at the
+    grid's limit, at orders 1-3, with no drift, a random drift and a fixed
+    drift in turn.
+    """
+    worst = 0.0
+    for i in range(n_grids):
+        grid_size = (_SYNTHESIS_MAX_GRID if i == 0 else int(np.exp(
+            rng.uniform(math.log(16.0), math.log(_SYNTHESIS_MAX_GRID)))))
+        n_paths = int(rng.integers(1, 5))
+        seed = int(rng.integers(0, 2**31))
+        kappa = int(rng.integers(1, 4))
+        limit = (grid_size - 1) // 2
+        if i % 2 == 0:
+            model = _random_spectrum(
+                rng, kappa, int(rng.integers(1, limit - kappa + 2)))
+        else:
+            model = SpectralModel.power_law(
+                kappa, float(rng.uniform(0.5, 2.0)),
+                float(rng.uniform(1.5, 4.0)), n_max=limit)
+        low_order = (None, float(rng.uniform(0.5, 2.0)),
+                     rng.standard_normal(2 * kappa - 1))[i % 3]
+        worst = max(
+            worst,
+            _synthesis_gap(
+                simulate_irf(model, n_paths, grid_size, seed, low_order),
+                _irf_oracle(model, n_paths, grid_size, seed, low_order)),
+            _synthesis_gap(
+                simulate_brownian_bridge(grid_size, n_paths, seed),
+                _bridge_oracle(grid_size, n_paths, seed)))
+    return worst
+
+
 def bridge_moment_checks(seed: int = 0, n_realizations: int = 20_000,
                          grid_size: int = 512, n_freq: int = 8,
                          tol_factor: float = 4.0,
@@ -669,9 +767,16 @@ def stationarity_checks(seed: int = 0, n_realizations: int = 5000,
     The raw Brownian bridge is not stationary, but order-1 allowable
     aggregates of it are; the low-frequency-truncated order-1 process is
     stationary outright.  The negative control feeds the raw bridge itself
-    to the covariance comparison and must be flagged.
+    to the covariance comparison and must be flagged.  Both samplers also
+    meet their explicit oracles, :func:`_irf_oracle` and
+    :func:`_bridge_oracle`, up to rounding.
     """
-    report = Report()
+    worst = _synthesis_agreement(np.random.default_rng([seed, 808]),
+                                 _SYNTHESIS_GRIDS)
+    report = Report([CheckResult(
+        "simulation-synthesis-agreement", worst, 1.0, worst <= 1.0,
+        f"worst gap to the oracles over {_SYNTHESIS_GRIDS} grids, in units "
+        "of 16 eps G max(1, max|oracle|)")])
     bridge = simulate_brownian_bridge(grid_size, n_realizations, seed)
 
     lam = DiscreteMeasure([0.0, np.pi], [1.0, -1.0])

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from circkrig import SpectralModel, simulate_irf
 from circkrig.cli import main
 
 TWO_PI = 2.0 * np.pi
@@ -183,6 +184,28 @@ class TestSimulate:
         assert main(["simulate", "--config", c1]) == 0
         assert main(["simulate", "--config", c2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("degrees", [False, True])
+    def test_rows_follow_the_batch(self, tmp_path, degrees):
+        # realization i is row i of the library's batch, value for value
+        out = tmp_path / "paths.csv"
+        config = _write_json(tmp_path / "sim.json", {
+            "model": {"spectrum": _SPECTRUM},
+            "simulate": {"n_realizations": 3, "grid_size": 16, "seed": 5,
+                         "low_order": 0.5},
+            "io": {"output": str(out), "degrees": degrees}})
+        assert main(["simulate", "--config", config]) == 0
+        rows = _read_output(out)
+        want = simulate_irf(SpectralModel.from_config(_SPECTRUM), 3, 16, 5,
+                            low_order=0.5)
+        grid = np.arange(16) * TWO_PI / 16
+        assert [int(r["realization"]) for r in rows] == [
+            i for i in range(3) for _ in range(16)]
+        assert np.array_equal([float(r["value"]) for r in rows],
+                              want.ravel())
+        angles = np.array([float(r["angle"]) for r in rows])
+        assert np.array_equal(
+            angles, np.tile(np.degrees(grid) if degrees else grid, 3))
 
     def test_brownian_bridge_row_count(self, tmp_path):
         out = tmp_path / "bridge.csv"
@@ -378,6 +401,43 @@ class TestConfigShapes:
         config = _write_json(tmp_path / "v.json", cfg)
         assert main(["verify", "--config", config]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("grid_size, message", [
+        (1, "simulate.grid_size must be >= 2"),
+        (2**27 + 1, "simulate.grid_size must be <= 134217728"),
+    ])
+    def test_simulate_grid_size_ceiling(self, tmp_path, capsys, grid_size,
+                                        message):
+        config = _write_json(tmp_path / "sim.json", {
+            "model": {"kernel": "brownian-bridge"},
+            "simulate": {"n_realizations": 0, "grid_size": grid_size},
+            "io": {"output": str(tmp_path / "o.csv")}})
+        assert main(["simulate", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_simulate_value_count_ceiling(self, tmp_path, capsys):
+        # 2**20 paths of 256 points are 2**28 values, twice the ceiling
+        config = _write_json(tmp_path / "sim.json", {
+            "model": {"kernel": "brownian-bridge"},
+            "simulate": {"n_realizations": 2**20, "grid_size": 256},
+            "io": {"output": str(tmp_path / "o.csv")}})
+        assert main(["simulate", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: simulate.n_realizations * simulate.grid_size must be "
+            "<= 134217728 values, got 1048576 * 256")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_fit_grid_size_ceiling(self, tmp_path, capsys):
+        data = _write_data(tmp_path / "d.csv", [0.0, 2.0, 4.0],
+                           [1.0, -1.0, 0.5])
+        config = _write_json(tmp_path / "fit.json", _fit_config(
+            data, str(tmp_path / "o.csv"), **{"io.grid_size": 2**16 + 1}))
+        assert main(["fit", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: io.grid_size must be <= 65536, got 65537")
+        assert not (tmp_path / "o.csv").exists()
 
     def test_degrees_true_is_still_read(self, tmp_path):
         data = _write_data(tmp_path / "d.csv", [0.0, 120.0, 240.0],

@@ -16,13 +16,16 @@ from hypothesis import strategies as st
 
 from circkrig.cli import main
 
-# Integers stay small so that no size field asks for much time or memory,
-# and text has no path separator so a string read as a path stays inside
-# the working directory.
+# Integers stay small so that no field asks for much time or memory, and
+# text has no path separator so a string read as a path stays inside the
+# working directory.  Size fields also draw integers past their ceilings,
+# which must be refused before anything is allocated.
 _LEAVES = (st.none() | st.booleans() | st.integers(-3, 24)
            | st.floats(-1.0e3, 1.0e3)
            | st.sampled_from([float("nan"), float("inf"), 1.0e300, 0.5])
            | st.text("abxy01.-", max_size=4))
+_SIZE_FIELDS = ("grid_size", "n_realizations")
+_OVERSIZED = st.integers(2**27 + 1, 2**64)
 _JSON = st.recursive(
     _LEAVES,
     lambda kids: (st.lists(kids, max_size=3)
@@ -95,7 +98,9 @@ def _mutated(draw, bases):
         for key in path[:-1]:
             parent = parent[key]
         value = _JSON
-        if len(path) == 1 and path[0] == "verify":
+        if path[-1] in _SIZE_FIELDS:
+            value = _JSON | _OVERSIZED
+        elif len(path) == 1 and path[0] == "verify":
             # An object here without 'checks' runs every suite at its
             # default size, which is too slow for a fuzz example.
             value = _JSON.filter(lambda v: not isinstance(v, dict))

@@ -17,6 +17,11 @@ from circkrig import (
     simulate_brownian_bridge,
     simulate_irf,
 )
+from circkrig.verification import _bridge_oracle, _irf_oracle
+from test_covariance import _peak_beyond_result
+
+# Ceiling on traced allocation beyond the returned batch at G = 8192.
+MEMORY_CEILING = 64 * 2**20
 
 
 class TestSimulateIrf:
@@ -24,37 +29,46 @@ class TestSimulateIrf:
         spec = SpectralModel.from_list(1, [1.0, 0.5, 0.25])
         a = simulate_irf(spec, 4, 64, seed=7)
         b = simulate_irf(spec, 4, 64, seed=7)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.values, rb.values)
+        assert np.array_equal(a, b)
 
     def test_batch_size_invariance(self):
         # realization i depends on (seed, i) only, not on the batch size
         spec = SpectralModel.from_list(1, [1.0, 0.5])
         big = simulate_irf(spec, 5, 32, seed=3)
         small = simulate_irf(spec, 2, 32, seed=3)
-        assert np.array_equal(big[0].values, small[0].values)
-        assert np.array_equal(big[1].values, small[1].values)
+        assert np.array_equal(big[:2], small)
 
     def test_seed_changes_output(self):
         spec = SpectralModel.from_list(1, [1.0])
         a = simulate_irf(spec, 1, 32, seed=0)
         b = simulate_irf(spec, 1, 32, seed=1)
-        assert not np.array_equal(a[0].values, b[0].values)
+        assert not np.array_equal(a, b)
 
     def test_empty_spectrum_gives_zeros(self):
         spec = SpectralModel.from_list(1, [])
         out = simulate_irf(spec, 2, 16, seed=0)
-        for r in out:
-            assert np.all(r.values == 0.0)
+        assert out.shape == (2, 16)
+        assert np.all(out == 0.0)
 
     def test_grid_and_metadata(self):
         spec = SpectralModel.from_list(1, [1.0])
         out = simulate_irf(spec, 3, 32, seed=5)
-        assert len(out) == 3
-        assert out[2].index == 2
-        assert out[2].seed == 5
-        assert out[0].grid_size == 32
-        assert np.allclose(out[0].grid, np.arange(32) * TWO_PI / 32)
+        assert out.shape == (3, 32)
+        assert out.dtype == np.float64
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0, 0] = 1.0
+        assert simulate_irf(spec, 0, 32, seed=5).shape == (0, 32)
+
+    def test_odd_grid(self):
+        # frequency 3 on 7 points: the cosine of unit coefficient is exact
+        spec = SpectralModel.from_list(3, [1.0])
+        out = simulate_irf(spec, 2, 7, seed=4)
+        grid = np.arange(7) * TWO_PI / 7
+        sample = empirical_coefficients(out[0], n_max=3)
+        rebuilt = (sample.cos_coeffs[2] * np.cos(3 * grid)
+                   + sample.sin_coeffs[2] * np.sin(3 * grid))
+        assert np.allclose(rebuilt, out[0], atol=1e-12)
 
     def test_aliasing_guard(self):
         spec = SpectralModel.from_list(1, np.ones(40))
@@ -68,8 +82,7 @@ class TestSimulateIrf:
         out = simulate_irf(spec, 2, 64, seed=1,
                            low_order=np.array([3.0, 0.0, 0.0]))
         base = simulate_irf(spec, 2, 64, seed=1)
-        for r, b in zip(out, base):
-            assert np.allclose(r.values - b.values, 3.0, atol=1e-12)
+        assert np.allclose(out - base, 3.0, atol=1e-12)
 
     def test_low_order_random_variance(self):
         # scalar low_order draws fresh low-frequency coefficients per
@@ -77,26 +90,64 @@ class TestSimulateIrf:
         spec = SpectralModel.from_list(1, [1.0])
         out = simulate_irf(spec, 3, 32, seed=2, low_order=0.5)
         base = simulate_irf(spec, 3, 32, seed=2)
-        for r, b in zip(out, base):
-            diff = r.values - b.values
-            assert np.allclose(diff, diff[0], atol=1e-12)
-            assert diff[0] != 0.0
+        diff = out - base
+        assert np.allclose(diff, diff[:, :1], atol=1e-12)
+        assert np.all(diff[:, 0] != 0.0)
+        assert len(set(diff[:, 0])) == 3
+
+    def test_low_order_shape_and_sign_rejected(self):
+        spec = SpectralModel.from_list(2, [0.5])
+        with pytest.raises(ValueError, match="3 coefficients"):
+            simulate_irf(spec, 1, 16, seed=0, low_order=[1.0, 2.0])
+        with pytest.raises(ValueError, match="drift scale"):
+            simulate_irf(spec, 1, 16, seed=0, low_order=-1.0)
 
 
-def _coefficients_of(values, grid_size, n_max):
-    """Wrap a raw array as a Realization and recover its coefficients."""
-    from circkrig.simulate import Realization
+class TestSeedRegression:
+    """The FFT and cumulative-sum samplers reproduce the explicit
+    synthesis and the dense Cholesky bridge draw for draw."""
 
-    grid = np.arange(grid_size) * TWO_PI / grid_size
-    real = Realization(grid=grid, values=np.asarray(values, dtype=float),
-                       seed=0, index=0, provenance="test")
-    return empirical_coefficients(real, n_max=n_max)
+    @pytest.mark.parametrize("seed", [0, 20260])
+    @pytest.mark.parametrize("low_order", [None, 0.7, [1.0, -0.5, 2.0]])
+    def test_irf_matches_explicit_synthesis(self, seed, low_order):
+        model = SpectralModel.power_law(2, 1.5, 2.5, n_max=255)
+        got = simulate_irf(model, 4, 512, seed, low_order)
+        want = _irf_oracle(model, 4, 512, seed, low_order)
+        scale = 16 * np.finfo(float).eps * 512 * max(1.0, np.abs(want).max())
+        assert np.max(np.abs(got - want)) <= scale
+
+    @pytest.mark.parametrize("seed", [0, 20260])
+    @pytest.mark.parametrize("grid_size", [2, 3, 64, 1024])
+    def test_bridge_matches_dense_cholesky(self, seed, grid_size):
+        got = simulate_brownian_bridge(grid_size, 4, seed)
+        want = _bridge_oracle(grid_size, 4, seed)
+        scale = (16 * np.finfo(float).eps * grid_size
+                 * max(1.0, np.abs(want).max()))
+        assert np.max(np.abs(got - want)) <= scale
+
+
+class TestMemory:
+    """A simulation holds its batch and O(grid) workspace per path, not
+    the O(F G) trig matrices or O(G^2) Cholesky factor of the oracles."""
+
+    def test_bridge_large_grid(self):
+        out, peak = _peak_beyond_result(
+            lambda: simulate_brownian_bridge(8192, 4, 3))
+        assert out.shape == (4, 8192)
+        assert peak < MEMORY_CEILING
+
+    def test_irf_large_grid(self):
+        model = SpectralModel.power_law(1, 1.0, 2.0, n_max=4095)
+        out, peak = _peak_beyond_result(
+            lambda: simulate_irf(model, 4, 8192, 3))
+        assert out.shape == (4, 8192)
+        assert peak < MEMORY_CEILING
 
 
 class TestEmpiricalCoefficients:
     def test_pure_harmonic(self):
         grid = np.arange(64) * TWO_PI / 64
-        sample = _coefficients_of(np.cos(3 * grid), 64, n_max=10)
+        sample = empirical_coefficients(np.cos(3 * grid), n_max=10)
         assert np.isclose(sample.cos_coeffs[2], 1.0, atol=1e-12)
         mask = np.ones(10, bool)
         mask[2] = False
@@ -105,44 +156,49 @@ class TestEmpiricalCoefficients:
         assert abs(sample.z0) < 1e-12
 
     def test_constant(self):
-        sample = _coefficients_of(np.full(32, 2.5), 32, n_max=4)
+        sample = empirical_coefficients(np.full(32, 2.5), n_max=4)
         assert np.isclose(sample.z0, 2.5, atol=1e-14)
         assert np.max(np.abs(sample.cos_coeffs)) < 1e-13
 
     def test_round_trip(self):
         spec = SpectralModel.from_list(1, [1.0, 0.4, 0.2, 0.1])
-        real = simulate_irf(spec, 1, 128, seed=9)[0]
-        sample = empirical_coefficients(real, n_max=4)
-        grid = real.grid
+        path = simulate_irf(spec, 1, 128, seed=9)[0]
+        sample = empirical_coefficients(path, n_max=4)
+        grid = np.arange(128) * TWO_PI / 128
         n = np.arange(1, 5)
         rebuilt = (sample.z0
                    + sample.cos_coeffs @ np.cos(np.outer(n, grid))
                    + sample.sin_coeffs @ np.sin(np.outer(n, grid)))
-        assert np.allclose(rebuilt, real.values, atol=1e-10)
+        assert np.allclose(rebuilt, path, atol=1e-10)
 
     def test_n_max_guard(self):
         spec = SpectralModel.from_list(1, [1.0])
-        real = simulate_irf(spec, 1, 16, seed=0)[0]
+        path = simulate_irf(spec, 1, 16, seed=0)[0]
         with pytest.raises(AliasingError):
-            empirical_coefficients(real, n_max=8)
+            empirical_coefficients(path, n_max=8)
+
+    def test_needs_one_path(self):
+        paths = simulate_irf(SpectralModel.from_list(1, [1.0]), 2, 16, 0)
+        with pytest.raises(ValueError, match="1-d"):
+            empirical_coefficients(paths, n_max=2)
 
 
 class TestBrownianBridge:
     def test_pinned_at_origin(self):
         out = simulate_brownian_bridge(64, 5, seed=11)
-        for r in out:
-            assert r.values[0] == 0.0
+        assert out.shape == (5, 64)
+        assert np.all(out[:, 0] == 0.0)
+        assert not out.flags.writeable
 
     def test_determinism(self):
         a = simulate_brownian_bridge(32, 3, seed=4)
         b = simulate_brownian_bridge(32, 3, seed=4)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.values, rb.values)
+        assert np.array_equal(a, b)
+        assert np.array_equal(simulate_brownian_bridge(32, 5, seed=4)[:3], a)
 
     def test_midpoint_variance(self):
         # var B(pi) = 2 pi min - min^2 = pi^2
-        out = simulate_brownian_bridge(8, 20000, seed=6)
-        mid = np.array([r.values[4] for r in out])
+        mid = simulate_brownian_bridge(8, 20000, seed=6)[:, 4]
         want = np.pi**2
         se = np.std(mid**2, ddof=1) / np.sqrt(mid.size)
         assert abs(np.mean(mid**2) - want) < 4.0 * se
@@ -151,7 +207,7 @@ class TestBrownianBridge:
         # cov(B(s), B(t)) = 2 pi min(s,t) - s t at s = pi/2, t = pi
         out = simulate_brownian_bridge(8, 20000, seed=13)
         s_idx, t_idx = 2, 4
-        prods = np.array([r.values[s_idx] * r.values[t_idx] for r in out])
+        prods = out[:, s_idx] * out[:, t_idx]
         s, t = s_idx * TWO_PI / 8, t_idx * TWO_PI / 8
         want = TWO_PI * min(s, t) - s * t
         se = np.std(prods, ddof=1) / np.sqrt(prods.size)
@@ -165,9 +221,9 @@ class TestStationarityCheck:
 
     def test_small_sample_reports_failure_without_raising(self):
         spec = SpectralModel.from_list(1, [1.0])
-        reals = simulate_irf(spec, 10, 64, seed=0)
+        paths = simulate_irf(spec, 10, 64, seed=0)
         report = check_translation_stationarity(
-            reals, self._increment_measure(), kappa=1)
+            paths, self._increment_measure(), kappa=1)
         assert not report.passed
         names = [r.name for r in report.results]
         assert names == ["stationarity-sample-size"]
@@ -175,59 +231,68 @@ class TestStationarityCheck:
 
     def test_non_allowable_measure_rejected(self):
         spec = SpectralModel.from_list(1, [1.0])
-        reals = simulate_irf(spec, 10, 64, seed=0)
+        paths = simulate_irf(spec, 10, 64, seed=0)
         with pytest.raises(AllowabilityError):
             check_translation_stationarity(
-                reals, DiscreteMeasure([0.0], [1.0]), kappa=1)
+                paths, DiscreteMeasure([0.0], [1.0]), kappa=1)
 
     def test_off_grid_atom_rejected(self):
         spec = SpectralModel.from_list(1, [1.0])
-        reals = simulate_irf(spec, 10, 64, seed=0)
+        paths = simulate_irf(spec, 10, 64, seed=0)
         with pytest.raises(ValueError):
             check_translation_stationarity(
-                reals, DiscreteMeasure([0.05, 0.05 + np.pi], [1.0, -1.0]),
+                paths, DiscreteMeasure([0.05, 0.05 + np.pi], [1.0, -1.0]),
                 kappa=1)
+
+    def test_needs_a_batch(self):
+        path = simulate_irf(SpectralModel.from_list(1, [1.0]), 1, 64, 0)[0]
+        for bad in (path, np.empty((0, 64))):
+            with pytest.raises(ValueError, match="non-empty"):
+                check_translation_stationarity(
+                    bad, self._increment_measure(), kappa=1)
+            with pytest.raises(ValueError, match="non-empty"):
+                check_coefficient_coupling(bad, n_max=2)
 
     def test_increment_process_passes(self):
         spec = SpectralModel.from_list(1, [1.0, 0.5, 0.25, 0.125])
-        reals = simulate_irf(spec, 2000, 128, seed=1)
+        paths = simulate_irf(spec, 2000, 128, seed=1)
         report = check_translation_stationarity(
-            reals, self._increment_measure(), kappa=1)
+            paths, self._increment_measure(), kappa=1)
         assert report.passed, [r.line() for r in report.results]
 
     def test_truncated_process_is_stationary_as_is(self):
         # order >= 1 truncation leaves a process that is stationary raw,
         # so the identity measure passes with kappa=0 (no allowability)
         spec = SpectralModel.power_law(1, 1.0, 2.0, n_max=63)
-        reals = simulate_irf(spec, 2000, 128, seed=2)
+        paths = simulate_irf(spec, 2000, 128, seed=2)
         identity = DiscreteMeasure([0.0], [1.0])
-        report = check_translation_stationarity(reals, identity, kappa=0)
+        report = check_translation_stationarity(paths, identity, kappa=0)
         assert report.passed, [r.line() for r in report.results]
 
     def test_nonzero_mean_detected(self):
         # a fixed drift constant shifts the mean away from zero
         spec = SpectralModel.from_list(1, [1.0, 0.5])
-        reals = simulate_irf(spec, 2000, 128, seed=3,
+        paths = simulate_irf(spec, 2000, 128, seed=3,
                              low_order=np.array([2.0]))
         identity = DiscreteMeasure([0.0], [1.0])
-        report = check_translation_stationarity(reals, identity, kappa=0)
+        report = check_translation_stationarity(paths, identity, kappa=0)
         by_name = {r.name: r for r in report.results}
         assert not by_name["stationary-zero-mean"].passed
 
     def test_nonstationary_covariance_detected(self):
         # the raw bridge is pinned at angle 0, so its covariance depends
         # on location, not just lag
-        reals = simulate_brownian_bridge(128, 2000, seed=5)
+        paths = simulate_brownian_bridge(128, 2000, seed=5)
         identity = DiscreteMeasure([0.0], [1.0])
-        report = check_translation_stationarity(reals, identity, kappa=0)
+        report = check_translation_stationarity(paths, identity, kappa=0)
         by_name = {r.name: r for r in report.results}
         assert not by_name["stationary-lag-covariance"].passed
 
     def test_report_serialization(self, tmp_path):
         spec = SpectralModel.from_list(1, [1.0])
-        reals = simulate_irf(spec, 10, 64, seed=0)
+        paths = simulate_irf(spec, 10, 64, seed=0)
         report = check_translation_stationarity(
-            reals, self._increment_measure(), kappa=1)
+            paths, self._increment_measure(), kappa=1)
         path = tmp_path / "report.json"
         report.to_json(path)
         payload = json.loads(path.read_text())

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from circkrig import UniversalKrigingModel, covariance
+from circkrig import TWO_PI, UniversalKrigingModel, covariance, simulate
 from circkrig.verification import (
     _gaps_shrink,
     kernel_checks,
     primal_dual_checks,
     run_verification,
     smoothing_limit_checks,
+    stationarity_checks,
 )
 
 
@@ -72,6 +73,30 @@ class TestKrigingVarianceAgreement:
                         "kriging-variance-agreement")
         assert not check.passed
         assert check.statistic > 1.0e-3
+
+
+class TestSimulationSynthesisAgreement:
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_passes(self, seed):
+        check = _result(stationarity_checks(seed, n_realizations=1000,
+                                            grid_size=64),
+                        "simulation-synthesis-agreement")
+        assert check.passed, check
+        assert 0.0 < check.statistic <= 1.0
+
+    def test_flags_a_bridge_step_without_its_scale(self, monkeypatch):
+        # s_k = sqrt(h c_k / c_{k-1}) in place of sqrt(2 pi h c_k / c_{k-1})
+        factor = simulate._bridge_factor
+
+        def unscaled(grid_size):
+            c, step = factor(grid_size)
+            return c, step / np.sqrt(TWO_PI)
+
+        monkeypatch.setattr(simulate, "_bridge_factor", unscaled)
+        check = _result(stationarity_checks(0, n_realizations=1000,
+                                            grid_size=64),
+                        "simulation-synthesis-agreement")
+        assert not check.passed
 
 
 def test_checks_must_be_a_list():

@@ -214,6 +214,7 @@ def cmd_fit(args) -> int:
             "degrees": degrees,
             **grid_echo,
         },
+        "diagnostics": model.diagnostics,
     }
     echo = _echo_config(output, resolved)
     print(f"fit: {model.data.n} observations, {pred_pts.size} predictions "

@@ -17,7 +17,8 @@ from numbers import Integral, Real
 import numpy as np
 
 __all__ = ["block", "flag", "number", "numbers", "simulation_size",
-           "MAX_SIMULATED_VALUES", "MAX_PREDICTION_GRID"]
+           "MAX_SIMULATED_VALUES", "MAX_PREDICTION_GRID",
+           "MAX_SPECTRUM_FREQUENCY"]
 
 # A simulate run holds its whole (n_realizations, grid_size) batch: 2**27
 # float64 values are 1 GiB.
@@ -25,6 +26,11 @@ MAX_SIMULATED_VALUES = 2**27
 # A fit solves for every prediction point at once, so memory grows with
 # the data size times this.
 MAX_PREDICTION_GRID = 2**16
+# A power-law spectrum holds its frequencies and weights as arrays, and a
+# series covariance costs a sine and a cosine per point and frequency: at
+# 2**20 frequencies the two arrays are 16 MiB and a 256-point grid already
+# takes 5e8 trig evaluations.  The default cutoff is 10_000.
+MAX_SPECTRUM_FREQUENCY = 2**20
 
 
 def block(cfg: dict, key: str) -> dict:

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import config
 from .circle import TWO_PI, wrap
@@ -46,6 +45,9 @@ __all__ = [
 # power-law models with large cutoffs and long lag lists never materialize a
 # points-by-frequencies array.
 _BLOCK_ELEMENTS = 1 << 18
+# Relative rounding allowed when ``phi_from_variogram`` compares a constant
+# with the spectral mass, a float64 sum.
+_MASS_ROUNDING = 1.0e-12
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,8 @@ class SpectralModel:
             kappa, config.number(cfg.get("a"), "spectrum a"),
             config.number(cfg.get("p"), "spectrum p"),
             config.number(cfg.get("n_max", 10_000), "spectrum n_max",
-                          integer=True))
+                          integer=True,
+                          maximum=config.MAX_SPECTRUM_FREQUENCY))
 
 
 def _features(t: np.ndarray, f: np.ndarray, weight) -> np.ndarray:
@@ -365,32 +368,33 @@ class Semivariogram:
         # Any constant shift in the covariance cancels in the difference.
         return (self.covariance.phi0 - np.asarray(self.covariance(theta)))[()]
 
-    def minimal_shift(self, panels: int = 10_000) -> float:
+    def minimal_shift(self) -> float:
         """Lower admissible bound ``(1/pi) * integral_0^pi tau`` for ``c0``.
 
-        Evaluated by composite Simpson quadrature on an even panel count.
+        ``tau(theta) = sum_n gamma_n (1 - cos n theta)`` and
+        ``integral_0^pi cos n theta = 0`` for every ``n >= 1``, so the bound
+        is the spectral mass ``phi(0) - shift`` exactly.
         """
-        panels += panels % 2
-        grid = np.linspace(0.0, np.pi, panels + 1)
-        return float(simpson(np.asarray(self(grid)), x=grid) / np.pi)
+        cov = self.covariance
+        return cov.phi0 - cov.shift
 
 
-def phi_from_variogram(sv: Semivariogram, rtol: float = 1.0e-6,
-                       panels: int = 10_000) -> IntrinsicCovariance:
+def phi_from_variogram(sv: Semivariogram) -> IntrinsicCovariance:
     """Covariance ``phi = c0 - tau`` from a semivariogram and its constant.
 
-    The constant must satisfy ``c0 >= (1/pi) * integral_0^pi tau`` (checked
-    by quadrature at relative tolerance ``rtol``), which makes ``phi`` a
-    valid order-1 model.  Different admissible constants give the same
-    predictions and kriging variances; only the reported covariance values
-    move by the constant.
+    The constant must satisfy ``c0 >= (1/pi) * integral_0^pi tau``, the
+    spectral mass (see :meth:`Semivariogram.minimal_shift`), which makes
+    ``phi`` a valid order-1 model.  Different admissible constants give the
+    same predictions and kriging variances; only the reported covariance
+    values move by the constant.
     """
-    bound = sv.minimal_shift(panels=panels)
-    slack = rtol * max(1.0, abs(bound))
+    bound = sv.minimal_shift()
+    # The mass is summed in float64; allow for its rounding.
+    slack = _MASS_ROUNDING * max(1.0, abs(bound))
     if sv.c0 < bound - slack:
         raise VariogramShiftError(
             f"constant c0={sv.c0:.6g} is below the admissible bound "
-            f"{bound:.6g} computed by quadrature"
+            f"{bound:.6g}, the spectral mass"
         )
     base = sv.covariance
     # c0 - tau(theta) = phi_spectral(theta) + (c0 - phi_spectral(0)).

@@ -12,7 +12,20 @@ weights ``eta`` and multipliers ``rho`` (primal view).  Both views give the
 same prediction, and the prediction-error variance is read off the primal
 solution as ``sigma2(t0) = phi(0) - eta.k - rho.q`` (Cressie, *Statistics
 for Spatial Data*, 1993, section 3.4): ``O(n m)`` work for ``m`` targets
-after the solve, and no ``n x n`` array besides the bordered matrix.
+after the solve.
+
+The system is solved by the null-space method (Nocedal & Wright, *Numerical
+Optimization*, section 16.2).  The allowable measures of the model order
+are exactly the weight vectors in ``null(Q^T)``; a Householder QR of ``Q``
+gives an orthonormal basis ``Z`` of them, and the validity condition of an
+intrinsic covariance says ``Z^T (Psi + sigma2*I) Z`` is positive definite.
+So one Cholesky factorization of that ``(n - dim)``-square block, plus two
+``dim x dim`` triangular solves for the drift, replaces an indefinite
+factorization of the whole bordered matrix; a failed Cholesky means the
+model is not valid at these points.  A constant shift of the covariance
+drops out, because ``Z^T 1 = 0``.  Ordinary kriging runs the same solver on
+``-Gamma`` with ``Q = 1``, a semivariogram being conditionally negative
+definite.
 
 ``sigma2`` has two equivalent readings: the variance of iid observation
 noise, and the penalty weight of the equivalent smoothing problem over the
@@ -25,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .circle import CardinalBasis, DiscreteMeasure, NilSpaceBasis, wrap
 from .covariance import IntrinsicCovariance, Semivariogram, SpectralModel
@@ -47,7 +60,8 @@ __all__ = [
 # Reciprocal condition estimate below which a factorized system is treated
 # as singular to working precision.
 _MIN_RCOND = 1.0e-15
-# Ceiling on the scaled residual after one refinement pass.
+# Ceiling on the scaled residual ``|r| / (|A| |x| + |b|)`` of a solve
+# against the bordered matrix.
 _MAX_RESIDUAL = 1.0e-8
 
 
@@ -93,52 +107,142 @@ class Dataset:
 
 
 class _SaddleSolver:
-    """Bunch-Kaufman factorization with one iterative-refinement pass."""
+    """Null-space Cholesky solver for ``[A Q; Q^T 0] [x; y] = [b; c]``.
 
-    def __init__(self, matrix: np.ndarray, context: str):
+    ``matrix`` is the symmetric ``n x n`` block ``A`` and ``drift`` the
+    ``n x l`` design ``Q``.  With the Householder QR ``Q = H [R; 0]`` and
+    ``M = H^T A H``, the system splits into ``R^T u1 = c``,
+    ``M22 u2 = (H^T b)_2 - M21 u1`` and ``R y = (H^T b)_1 - M11 u1 - M12 u2``,
+    with ``x = H u``.  ``M22`` is ``A`` on ``null(Q^T)``, factored by
+    Cholesky; its failure is the model failing to be positive definite on
+    allowable measures.
+
+    The solver holds ``A`` (for the residual gate), the leading ``l``
+    columns of ``M`` and the Cholesky factor of ``M22``.  ``rcond`` is the
+    smaller reciprocal condition estimate of ``R`` and ``M22`` (an empty
+    ``M22``, at ``n == l``, counts as 1), and ``residual`` the worst scaled
+    residual of any solve so far.
+    """
+
+    def __init__(self, matrix: np.ndarray, drift: np.ndarray, context: str):
+        n, l = drift.shape
         self._matrix = matrix
+        self._drift = drift
         self._context = context
-        self._anorm = np.linalg.norm(matrix, 1)
-        ldu, ipiv, info = lapack.dsytrf(matrix, lower=1)
+        # 1-norm of the bordered matrix, for the residual scale.
+        drift_abs = np.abs(drift)
+        self._anorm = max(
+            float(np.max(np.abs(matrix).sum(axis=0) + drift_abs.sum(axis=1))),
+            float(np.max(drift_abs.sum(axis=0))))
+        self._qr, self._tau, _, info = lapack.dgeqrf(drift)
+        if info != 0:
+            raise ValueError(f"invalid argument {-info} to dgeqrf")
+        self._r = np.asfortranarray(self._qr[:l])
+        rcond, _ = lapack.dtrcon(self._r, norm="1", uplo="U")
+        if not np.isfinite(rcond) or rcond <= _MIN_RCOND:
+            raise ConditioningError(
+                f"{context}: the drift design is singular at these points "
+                f"(reciprocal condition estimate {rcond:.2e}); spread the "
+                "points apart or lower the model order")
+        # A is symmetric, so A.T is a Fortran-ordered view of it and the
+        # first product needs no transposed copy.
+        reduced = self._apply("R", "N", self._apply("L", "T", matrix.T),
+                              overwrite=True)
+        self._lead = reduced[:, :l].copy()
+        self._chol = None
+        if n > l:
+            self._chol, block_rcond = self._factor(reduced[l:, l:])
+            rcond = min(rcond, block_rcond)
+        self.rcond = float(rcond)
+        self.residual = 0.0
+
+    def _factor(self, block: np.ndarray):
+        """Cholesky factor and reciprocal condition estimate of ``M22``."""
+        norm = float(np.max(np.abs(block).sum(axis=0)))
+        chol, info = lapack.dpotrf(block, lower=1)
         if info > 0:
             raise ConditioningError(
-                f"{context} is singular (zero pivot at row {info}); with no "
-                "nugget this happens when the spectrum carries too few "
-                "frequencies for the data size, so add frequencies or a "
-                "positive nugget"
-            )
-        if info < 0:
-            raise ValueError(f"invalid argument {-info} to dsytrf")
-        rcond, info = lapack.dsycon(ldu, ipiv, self._anorm, lower=1)
+                f"{self._context} is not positive definite on allowable "
+                f"measures (pivot {info} of the reduced block): the model "
+                "is not valid at these points; with no nugget this happens "
+                "when the spectrum carries too few frequencies for the data "
+                "size, so add frequencies or a positive nugget")
+        rcond, info = lapack.dpocon(chol, norm, uplo="L")
         if info != 0 or not np.isfinite(rcond) or rcond <= _MIN_RCOND:
             raise ConditioningError(
-                f"{context} is singular to working precision (reciprocal "
-                f"condition estimate {rcond:.2e}); add spectral content or "
-                "a positive nugget"
-            )
-        self._ldu = ldu
-        self._ipiv = ipiv
+                f"{self._context} is singular to working precision on "
+                f"allowable measures (reciprocal condition estimate "
+                f"{rcond:.2e}); add spectral content or a positive nugget")
+        return chol, rcond
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        x, info = lapack.dsytrs(self._ldu, self._ipiv, b, lower=1)
+    def _apply(self, side: str, trans: str, c: np.ndarray,
+               overwrite: bool = False) -> np.ndarray:
+        """``H`` (trans "N") or ``H^T`` (trans "T") times ``c`` from the
+        left (side "L") or right (side "R")."""
+        # LAPACK's optimal workspace: the block size 64 times the width of
+        # ``c``, plus the 65 x 64 triangular factor of a reflector block.
+        width = c.shape[1] if side == "L" else c.shape[0]
+        out, _, info = lapack.dormqr(side, trans, self._qr, self._tau, c,
+                                     lwork=max(1, width) * 64 + 65 * 64,
+                                     overwrite_c=overwrite)
         if info != 0:
-            raise ConditioningError(f"{self._context}: back-substitution "
+            raise ValueError(f"invalid argument {-info} to dormqr")
+        return out
+
+    def _triangular(self, rhs: np.ndarray, trans: int) -> np.ndarray:
+        out, info = lapack.dtrtrs(self._r, rhs, lower=0, trans=trans)
+        if info != 0:
+            raise ConditioningError(f"{self._context}: triangular solve "
                                     f"failed with code {info}")
-        resid = b - self._matrix @ x
-        dx, info = lapack.dsytrs(self._ldu, self._ipiv, resid, lower=1)
-        if info == 0:
-            x = x + dx
-            resid = b - self._matrix @ x
-        scale = (self._anorm * np.linalg.norm(x)
-                 + np.linalg.norm(b) + np.finfo(float).tiny)
-        rel = float(np.linalg.norm(resid) / scale)
+        return out
+
+    def solve(self, b: np.ndarray, c: np.ndarray | None = None):
+        """``(x, y)`` for right-hand sides ``b`` (n or n x m) and ``c``
+        (l or l x m; zero when omitted), shaped like them."""
+        b = np.asarray(b, dtype=float)
+        n, l = self._drift.shape
+        rhs = b.reshape(n, -1)
+        cols = rhs.shape[1]
+        con = np.zeros((l, cols)) if c is None else \
+            np.asarray(c, dtype=float).reshape(l, cols)
+        if cols == 0:
+            # LAPACK wrappers reject empty right-hand sides.
+            return np.zeros(b.shape), np.zeros((l,) + b.shape[1:])
+        u = self._apply("L", "T", rhs)
+        u1 = self._triangular(con, trans=1)
+        top = u[:l] - self._lead[:l] @ u1
+        if self._chol is not None:
+            u[l:] -= self._lead[l:] @ u1
+            u2, info = lapack.dpotrs(self._chol, u[l:], lower=1,
+                                     overwrite_b=1)
+            if info != 0:
+                raise ConditioningError(f"{self._context}: Cholesky solve "
+                                        f"failed with code {info}")
+            u[l:] = u2
+            del u2  # freed before the residual product
+            top -= self._lead[l:].T @ u[l:]
+        y = self._triangular(top, trans=0)
+        u[:l] = u1
+        x = self._apply("L", "N", u, overwrite=True)
+        self._check(rhs, con, x, y)
+        return x.reshape(b.shape), y.reshape((l,) + b.shape[1:])
+
+    def _check(self, b, c, x, y):
+        """Gate on the scaled residual against the bordered matrix."""
+        resid = blas.dgemm(1.0, self._matrix.T, x)
+        resid = blas.dgemm(1.0, self._drift, y, 1.0, resid, overwrite_c=1)
+        resid -= b
+        size = np.hypot(np.linalg.norm(x), np.linalg.norm(y))
+        scale = (self._anorm * size + np.hypot(np.linalg.norm(b),
+                                               np.linalg.norm(c))
+                 + np.finfo(float).tiny)
+        rel = float(np.hypot(np.linalg.norm(resid),
+                             np.linalg.norm(self._drift.T @ x - c)) / scale)
         if not np.isfinite(rel) or rel > _MAX_RESIDUAL:
             raise ConditioningError(
-                f"{self._context}: scaled residual {rel:.2e} after "
-                "refinement; the system is too ill-conditioned to trust"
-            )
-        return x
+                f"{self._context}: scaled residual {rel:.2e}; the system "
+                "is too ill-conditioned to trust")
+        self.residual = max(self.residual, rel)
 
 
 def _unbiasedness_measure(model, t0: float) -> DiscreteMeasure:
@@ -192,20 +296,26 @@ class UniversalKrigingModel:
         self.nugget = float(nugget)
         self.basis = basis
 
-        n, l = data.n, basis.dim
-        bordered = np.zeros((n + l, n + l))
-        bordered[:n, :n] = covariance.gram(data.points)
-        bordered[np.diag_indices(n)] += self.nugget
-        bordered[:n, n:] = basis.design_matrix(data.points)
-        bordered[n:, :n] = bordered[:n, n:].T
-        self._solver = _SaddleSolver(bordered, "bordered kriging system")
-        dual = self._solver.solve(np.concatenate([data.values, np.zeros(l)]))
-        self.kernel_coeffs = dual[:n]
-        self.drift_coeffs = dual[n:]
+        gram = covariance.gram(data.points)
+        gram[np.diag_indices(data.n)] += self.nugget
+        self._solver = _SaddleSolver(gram, basis.design_matrix(data.points),
+                                     "kriging system")
+        self.kernel_coeffs, self.drift_coeffs = self._solver.solve(
+            data.values)
 
     @property
     def kappa(self) -> int:
         return self.covariance.kappa
+
+    @property
+    def diagnostics(self) -> dict:
+        """How well-posed the fit is: data size ``n``, drift dimension
+        ``dim``, ``nugget``, the solver's reciprocal condition estimate
+        ``rcond`` and the worst ``scaled_residual`` of the solves so far
+        (the fit's own and every prediction's)."""
+        return {"n": self.data.n, "dim": self.basis.dim,
+                "nugget": self.nugget, "rcond": self._solver.rcond,
+                "scaled_residual": self._solver.residual}
 
     def _sections(self, t0):
         """Covariance sections ``k`` (m, n) and drift values ``q`` (m, dim)
@@ -218,8 +328,8 @@ class UniversalKrigingModel:
         """``k``, ``q`` and the primal solution ``eta`` (m, n), ``rho``
         (m, dim) from one solve with every target as a column."""
         k, q = self._sections(t0)
-        sol = self._solver.solve(np.vstack([k.T, q.T]))
-        return k, q, sol[:self.data.n].T, sol[self.data.n:].T
+        eta, rho = self._solver.solve(k.T, q.T)
+        return k, q, eta.T, rho.T
 
     def predict(self, t0):
         """Predicted value(s) via the dual expansion; shape-preserving."""
@@ -287,21 +397,20 @@ class OrdinaryKrigingModel:
             raise TypeError("semivariogram must be a Semivariogram")
         self.data = data
         self.semivariogram = semivariogram
-        n = data.n
-        bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = semivariogram(
-            np.subtract.outer(data.points, data.points))
-        bordered[:n, n] = 1.0
-        bordered[n, :n] = 1.0
-        self._solver = _SaddleSolver(bordered, "ordinary kriging system")
+        # A semivariogram is conditionally negative definite, so the solver
+        # runs on -Gamma: (-Gamma) eta + 1 (-rho) = -tau_vec, 1^T eta = 1.
+        neg_gamma = np.negative(semivariogram(
+            np.subtract.outer(data.points, data.points)))
+        self._solver = _SaddleSolver(neg_gamma, np.ones((data.n, 1)),
+                                     "ordinary kriging system")
 
     def _solve(self, t0):
         t0 = np.atleast_1d(np.asarray(t0, dtype=float))
         tau_vec = np.asarray(
             self.semivariogram(np.subtract.outer(t0, self.data.points)))
-        rhs = np.vstack([tau_vec.T, np.ones((1, t0.size))])
-        sol = self._solver.solve(rhs)
-        return tau_vec, sol[:self.data.n], sol[self.data.n]
+        eta, neg_rho = self._solver.solve(np.negative(tau_vec.T),
+                                          np.ones((1, t0.size)))
+        return tau_vec, eta, -neg_rho[0]
 
     def weights(self, t0) -> tuple[np.ndarray, np.ndarray]:
         """Weights ``eta`` (rows sum to 1) and multipliers ``rho``."""

@@ -147,6 +147,21 @@ class TestFit:
             b"pred2", b"pred1") == out1.read_bytes().replace(
             b"pred2", b"pred1")
 
+    def test_config_echo_carries_diagnostics(self, tmp_path):
+        data = _write_data(tmp_path / "data.csv", [0.0, 1.5, 3.0, 4.5, 5.5],
+                           [1.0, -0.5, 0.25, 2.0, 0.0])
+        out = tmp_path / "pred.csv"
+        config = _write_json(tmp_path / "fit.json", {
+            "model": {"kernel": "spline-m2"}, "nugget": 0.1,
+            "io": {"data": data, "output": str(out), "grid_size": 16},
+        })
+        assert main(["fit", "--config", config]) == 0
+        echoed = json.loads((tmp_path / "pred.csv.config.json").read_text())
+        diag = echoed["diagnostics"]
+        assert (diag["n"], diag["dim"], diag["nugget"]) == (5, 1, 0.1)
+        assert 0.0 < diag["rcond"] <= 1.0
+        assert 0.0 < diag["scaled_residual"] <= 1.0e-8
+
     def test_unknown_kernel(self, tmp_path, capsys):
         data = _write_data(tmp_path / "d.csv", [0.0, 1.0], [0.0, 1.0])
         config = _write_json(tmp_path / "fit.json", {
@@ -437,6 +452,19 @@ class TestConfigShapes:
         assert main(["fit", "--config", config]) == 1
         assert capsys.readouterr().err.startswith(
             "error: io.grid_size must be <= 65536, got 65537")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_power_law_cutoff_ceiling(self, tmp_path, capsys):
+        # frequencies() would allocate 8 GB for this cutoff
+        data = _write_data(tmp_path / "d.csv", [0.0, 2.0, 4.0],
+                           [1.0, -1.0, 0.5])
+        config = _write_json(tmp_path / "fit.json", _fit_config(
+            data, str(tmp_path / "o.csv"),
+            model={"spectrum": {"kappa": 1, "type": "power", "a": 1.0,
+                                "p": 2.0, "n_max": 10**9}}))
+        assert main(["fit", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: spectrum n_max must be <= 1048576, got 1000000000")
         assert not (tmp_path / "o.csv").exists()
 
     def test_degrees_true_is_still_read(self, tmp_path):

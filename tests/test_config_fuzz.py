@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from circkrig import config
 from circkrig.cli import main
 
 # Integers stay small so that no field asks for much time or memory, and
@@ -24,8 +25,11 @@ _LEAVES = (st.none() | st.booleans() | st.integers(-3, 24)
            | st.floats(-1.0e3, 1.0e3)
            | st.sampled_from([float("nan"), float("inf"), 1.0e300, 0.5])
            | st.text("abxy01.-", max_size=4))
-_SIZE_FIELDS = ("grid_size", "n_realizations")
-_OVERSIZED = st.integers(2**27 + 1, 2**64)
+_OVERSIZED = {
+    "grid_size": st.integers(2**27 + 1, 2**64),
+    "n_realizations": st.integers(2**27 + 1, 2**64),
+    "n_max": st.integers(config.MAX_SPECTRUM_FREQUENCY + 1, 2**64),
+}
 _JSON = st.recursive(
     _LEAVES,
     lambda kids: (st.lists(kids, max_size=3)
@@ -98,8 +102,8 @@ def _mutated(draw, bases):
         for key in path[:-1]:
             parent = parent[key]
         value = _JSON
-        if path[-1] in _SIZE_FIELDS:
-            value = _JSON | _OVERSIZED
+        if path[-1] in _OVERSIZED:
+            value = _JSON | _OVERSIZED[path[-1]]
         elif len(path) == 1 and path[0] == "verify":
             # An object here without 'checks' runs every suite at its
             # default size, which is too slow for a fuzz example.
@@ -148,3 +152,12 @@ def test_simulate_config_fuzz(workdir, cfg):
 @given(cfg=_mutated(_VERIFY))
 def test_verify_config_fuzz(workdir, cfg):
     _run("verify", cfg)
+
+
+@settings(_SETTINGS, max_examples=30)
+@given(n_max=_JSON | _OVERSIZED["n_max"])
+def test_power_law_cutoff_fuzz(workdir, n_max):
+    # The mutated-config tests above rarely pick this one field.
+    cfg = json.loads(json.dumps(_FIT[0]))
+    cfg["model"]["spectrum"]["n_max"] = n_max
+    _run("fit", cfg)

@@ -1,5 +1,8 @@
 """Tests for spectral models, covariances, splines, and variograms."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -344,6 +347,11 @@ class TestSemivariogram:
         sv = Semivariogram(spline_covariance(1))
         assert abs(sv.minimal_shift() - np.pi**2 / 3.0) <= 1e-8
 
+    def test_minimal_shift_ignores_the_constant(self):
+        model = SpectralModel.from_list(1, [1.0, 0.5, 0.25])
+        sv = Semivariogram(IntrinsicCovariance(model, shift=-3.0))
+        assert abs(sv.minimal_shift() - 1.75) <= 1e-15
+
 
 class TestPhiFromVariogram:
     def test_recovers_cosine(self):
@@ -368,3 +376,14 @@ class TestPhiFromVariogram:
         cov = IntrinsicCovariance(SpectralModel.from_list(1, []))
         phi = phi_from_variogram(Semivariogram(cov, c0=0.0))
         assert phi(2.0) == 0.0
+
+
+def test_import_leaves_out_scipy_integrate():
+    # scipy.integrate adds about a quarter second to every start-up.
+    code = ("import sys, circkrig, circkrig.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                              sys.path)})
+    assert done.stdout.strip() == "False"

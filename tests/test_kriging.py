@@ -5,6 +5,7 @@ import pytest
 
 from circkrig import (
     TWO_PI,
+    CardinalBasis,
     ConditioningError,
     Dataset,
     DuplicatePointsError,
@@ -16,8 +17,19 @@ from circkrig import (
     fit_ordinary,
     fit_universal,
     phi_from_variogram,
+    spline_covariance,
     trig_regression,
 )
+from circkrig.covariance import spline_kernel
+from circkrig.kriging import _MAX_RESIDUAL
+from test_covariance import _peak_beyond_result
+
+
+def _negated_spline():
+    """An order-1 covariance whose closed form is minus the m=1 spline: it
+    is negative definite on allowable measures, so no valid model."""
+    return IntrinsicCovariance(SpectralModel.from_list(1, [1.0]),
+                               closed_form=lambda d: -spline_kernel(1, d, 0.0))
 
 
 def _brute_force(points, values, covariance, nugget, kappa, t0):
@@ -162,6 +174,75 @@ class TestUniversalKriging:
                           SpectralModel.from_list(1, [1.0]), 0.0)
         assert "nugget" in str(excinfo.value)
 
+    def test_not_positive_definite_on_allowable_measures(self):
+        rng = np.random.default_rng(40)
+        pts = np.sort(rng.uniform(0, TWO_PI, 8))
+        for nugget in (0.0, 0.1):
+            with pytest.raises(ConditioningError) as excinfo:
+                fit_universal(Dataset(pts, rng.standard_normal(8)),
+                              _negated_spline(), nugget)
+            msg = str(excinfo.value)
+            assert "not positive definite on allowable measures" in msg
+            assert "nugget" in msg
+
+    @pytest.mark.parametrize("kappa", [2, 3])
+    @pytest.mark.parametrize("nugget", [0.0, 0.5])
+    def test_data_size_equal_to_drift_dimension(self, kappa, nugget):
+        # n == dim leaves no allowable measure on the data: the reduced
+        # block is empty and the fit interpolates with the drift alone,
+        # whatever the covariance and nugget.
+        rng = np.random.default_rng(41)
+        n = 2 * kappa - 1
+        pts = np.sort(rng.uniform(0, TWO_PI, n))
+        data = Dataset(pts, rng.standard_normal(n))
+        model = fit_universal(
+            data, SpectralModel.from_list(kappa, rng.uniform(0.2, 1.0, 4)),
+            nugget)
+        t = rng.uniform(0, TWO_PI, 13)
+        drift = NilSpaceBasis(kappa).design_matrix(t) @ trig_regression(
+            data, kappa)
+        vals, var = model.predict_with_variance(t)
+        assert np.allclose(vals, drift, atol=1e-9)
+        assert np.all(var >= 0.0)
+        # At a datum the error is the observation noise alone.
+        _, var_at_data = model.predict_with_variance(pts)
+        assert np.allclose(var_at_data, nugget, atol=1e-9)
+        assert model.diagnostics["dim"] == n
+
+    def test_diagnostics(self):
+        rng = np.random.default_rng(42)
+        pts = np.sort(rng.uniform(0, TWO_PI, 12))
+        model = fit_universal(
+            Dataset(pts, rng.standard_normal(12)),
+            SpectralModel.from_list(2, rng.uniform(0.2, 1.0, 8)), 0.25)
+        diag = model.diagnostics
+        assert set(diag) == {"n", "dim", "nugget", "rcond",
+                             "scaled_residual"}
+        assert (diag["n"], diag["dim"], diag["nugget"]) == (12, 3, 0.25)
+        assert 0.0 < diag["rcond"] <= 1.0
+        assert 0.0 < diag["scaled_residual"] <= _MAX_RESIDUAL
+        model.predict_with_variance(rng.uniform(0, TWO_PI, 50))
+        assert model.diagnostics["scaled_residual"] >= diag[
+            "scaled_residual"]
+
+    def test_fit_memory(self):
+        # Spline m=2 at n = 800 with variances on 512 points.  The fit holds
+        # the Gram, kept for the residual check, and the Cholesky factor of
+        # the reduced block: 2 n^2 values.  A closed-form Gram evaluation or
+        # one solve (right-hand sides, solution, Cholesky workspace,
+        # residual) needs at most four more arrays the size of the larger
+        # of n x n and n x m.
+        n, m = 800, 512
+        rng = np.random.default_rng(43)
+        pts = (np.arange(n) + rng.uniform(-0.3, 0.3, n)) * TWO_PI / n
+        data = Dataset(pts, rng.standard_normal(n))
+        grid = TWO_PI * np.arange(m) / m
+        (pred, var), extra = _peak_beyond_result(
+            lambda: fit_universal(data, spline_covariance(2), 0.01)
+            .predict_with_variance(grid))
+        assert np.all(np.isfinite(pred)) and np.all(var >= 0.0)
+        assert extra <= 8 * (2 * n * n + 4 * max(n * n, n * m))
+
     def test_basis_choice_does_not_change_predictions(self):
         rng = np.random.default_rng(26)
         pts = np.sort(rng.uniform(0, TWO_PI, 9))
@@ -171,6 +252,22 @@ class TestUniversalKriging:
         m_card = fit_universal(Dataset(pts, y), spec, 0.2, basis="cardinal")
         t = rng.uniform(0, TWO_PI, 21)
         assert np.allclose(m_trig.predict(t), m_card.predict(t), atol=1e-9)
+
+    @pytest.mark.parametrize("nugget", [0.0, 0.2])
+    def test_basis_choice_does_not_change_variances(self, nugget):
+        rng = np.random.default_rng(44)
+        pts = np.sort(rng.uniform(0, TWO_PI, 11))
+        y = rng.standard_normal(11)
+        spec = SpectralModel.from_list(3, rng.uniform(0.2, 1.0, 6))
+        t = rng.uniform(0, TWO_PI, 21)
+        trig = fit_universal(Dataset(pts, y), spec, nugget, basis="trig")
+        card = fit_universal(Dataset(pts, y), spec, nugget,
+                             basis=CardinalBasis(3))
+        for got, want in zip(card.predict_with_variance(t),
+                             trig.predict_with_variance(t)):
+            assert np.allclose(got, want, atol=1e-9)
+        assert np.allclose(card.weights(t)[0], trig.weights(t)[0],
+                           atol=1e-9)
 
     def test_prediction_object(self):
         data = Dataset([0.0, 2.0, 4.0], [1.0, -1.0, 0.5])
@@ -187,6 +284,8 @@ class TestUniversalKriging:
                               0.0)
         assert np.ndim(model.predict(1.0)) == 0
         assert model.predict(np.array([1.0, 2.0])).shape == (2,)
+        for out in model.predict_with_variance([]):
+            assert out.shape == (0,)
 
     def test_unbiasedness_measure_is_allowable(self):
         rng = np.random.default_rng(27)
@@ -218,6 +317,17 @@ class TestOrdinaryKriging:
         # with one observation the error variance is twice the variogram
         _, var = model.predict_with_variance([2.0])
         assert np.isclose(var[0], 2.0 * float(sv(1.0)), atol=1e-10)
+
+    def test_not_conditionally_negative_definite(self):
+        # The variogram of a negated spline is conditionally positive
+        # definite, so -Gamma fails the Cholesky factorization.
+        rng = np.random.default_rng(45)
+        pts = np.sort(rng.uniform(0, TWO_PI, 6))
+        with pytest.raises(ConditioningError) as excinfo:
+            fit_ordinary(Dataset(pts, rng.standard_normal(6)),
+                         Semivariogram(_negated_spline()))
+        assert "not positive definite on allowable measures" in str(
+            excinfo.value)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(29)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from circkrig import TWO_PI, UniversalKrigingModel, covariance, simulate
+from circkrig.kriging import _SaddleSolver
 from circkrig.verification import (
     _gaps_shrink,
     kernel_checks,
@@ -73,6 +74,31 @@ class TestKrigingVarianceAgreement:
                         "kriging-variance-agreement")
         assert not check.passed
         assert check.statistic > 1.0e-3
+
+
+class TestSolverAgreement:
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_passes(self, seed):
+        check = _result(primal_dual_checks(seed, n_instances=12),
+                        "solver-agreement")
+        assert check.passed, check
+        assert 0.0 < check.statistic <= check.threshold
+
+    def test_flags_a_solver_accurate_to_one_part_in_1e12(self, monkeypatch):
+        # Every solution off by a relative 1e-12: thousands of eps * cond on
+        # these well-conditioned instances, yet far inside the 1e-9 bounds
+        # of the suite's other checks.
+        solve = _SaddleSolver.solve
+
+        def off(self, b, c=None):
+            x, y = solve(self, b, c)
+            return x * (1.0 + 1.0e-12), y * (1.0 + 1.0e-12)
+
+        monkeypatch.setattr(_SaddleSolver, "solve", off)
+        report = primal_dual_checks(0, n_instances=6)
+        assert not _result(report, "solver-agreement").passed
+        others = [r for r in report.results if r.name != "solver-agreement"]
+        assert all(r.passed for r in others), others
 
 
 class TestSimulationSynthesisAgreement:

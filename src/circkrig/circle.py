@@ -41,11 +41,30 @@ def wrap(theta):
     Returns
     -------
     float or ndarray
-        Equivalent angle(s) in [0, 2*pi).
+        Equivalent angle(s) in [0, 2*pi); a numpy float for scalar or 0-d
+        input, a new array otherwise.  NaN and infinities map to NaN.
+
+    Notes
+    -----
+    ``fmod`` is exact and keeps the sign of its input, so one conditional
+    ``+ 2*pi`` moves negative remainders into range.  That sum rounds up
+    to the period itself for negatives smaller than half an ulp of
+    ``2*pi`` (``-1e-17``), which are set to 0, and a final ``+ 0.0`` turns
+    ``-0.0`` into ``+0.0``.  The result is bit for bit that of ``np.mod``
+    (a floor division, several times slower) with the same guard.
     """
-    r = np.mod(theta, TWO_PI)
-    # np.mod can round up to the period itself for tiny negative inputs.
-    return np.where(r >= TWO_PI, 0.0, r)[()]
+    r = _into_period(np.asarray(np.fmod(theta, TWO_PI)))
+    r += 0.0
+    return r[()]
+
+
+def _into_period(r: np.ndarray) -> np.ndarray:
+    """Move the values of ``r``, all in (-2*pi, 2*pi), into [0, 2*pi) in
+    place: ``+ 2*pi`` where negative, then 0 where that rounded up to
+    ``2*pi``.  Returns ``r``."""
+    np.add(r, TWO_PI, out=r, where=r < 0.0)
+    np.copyto(r, 0.0, where=r >= TWO_PI)
+    return r
 
 
 def angular_distance(x, y):

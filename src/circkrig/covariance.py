@@ -18,7 +18,13 @@ blocks of about ``_BLOCK_ELEMENTS`` (point, frequency) pairs, so they never
 grow with ``F`` or with ``n m F``.
 
 Two classic periodic smoothing-spline kernels (``gamma_n = 2/n**(2m)``,
-m = 1, 2) have closed polynomial forms and are provided directly.
+m = 1, 2) have closed polynomial forms and are provided directly.  A closed
+form is evaluated on the canonical lag matrix: the points are wrapped once,
+their differences are brought into [0, 2*pi) by one masked ``+ 2*pi``, and
+the polynomial is computed in place on one new array.  An ``n`` by ``m``
+Gram thus costs ``O(n m)`` elementwise passes and holds the output plus one
+lag matrix, and for points already in [0, 2*pi) its entries are bit for bit
+those of the polynomial applied to ``wrap(x_i - y_j)``.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from . import config
-from .circle import TWO_PI, wrap
+from .circle import TWO_PI, _into_period, wrap
 from .errors import SpectrumError, VariogramShiftError
 
 __all__ = [
@@ -236,7 +242,9 @@ class IntrinsicCovariance:
     Evaluation is by the (possibly truncated) series, summed in factored
     form (see the module docstring), unless ``closed_form`` is supplied, in
     which case that function of the canonical lag in [0, 2*pi) is used
-    instead and carries no truncation error.
+    instead and carries no truncation error.  It is called on a new array
+    of lags and must return a new array (or that one): the shift is added
+    to its result in place.
 
     ``shift`` adds a constant to every value.  For orders >= 1 a constant is
     annihilated by every allowable measure, so shifted and unshifted models
@@ -265,11 +273,17 @@ class IntrinsicCovariance:
         """Evaluate at lag(s); shape-preserving, lags taken modulo 2*pi."""
         canonical = wrap(np.asarray(lag, dtype=float))
         if self.closed_form is not None:
-            vals = np.asarray(self.closed_form(canonical), dtype=float)
-            return (vals + self.shift)[()]
+            return self._closed(canonical)
         vals = _harmonic_sum(self.model, np.ravel(canonical), np.zeros(1),
                              self.shift)
         return vals.reshape(np.shape(canonical))[()]
+
+    def _closed(self, canonical):
+        """Closed form plus shift at canonical lags, the shift added in
+        place to the array the closed form returns."""
+        vals = np.asarray(self.closed_form(canonical), dtype=float)
+        vals += self.shift
+        return vals[()]
 
     @cached_property
     def phi0(self) -> float:
@@ -284,12 +298,14 @@ class IntrinsicCovariance:
         products, at ``O((n + m) F)`` sines and cosines plus ``O(n m F)``
         BLAS multiply-adds for ``F`` frequencies, with temporaries bounded
         by the output plus a fixed-size feature block.  A closed form is
-        applied to the canonical lag matrix.
+        applied to the canonical lag matrix, built from the wrapped points
+        by :func:`_canonical_lags`.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = x if y is None else np.atleast_1d(np.asarray(y, dtype=float))
         if self.closed_form is not None:
-            return self(np.subtract.outer(x, y))
+            return self._closed(
+                _canonical_lags(x.reshape(x.shape + (1,) * y.ndim), y))
         # Points are summed as flat lists; the result keeps the lag-matrix
         # shape ``x.shape + y.shape`` that the closed form gives.
         flat_x = wrap(np.ravel(x))
@@ -303,18 +319,39 @@ class IntrinsicCovariance:
                                    shift=shift)
 
 
-def _spline_poly(m: int, d):
+def _canonical_lags(s, t) -> np.ndarray:
+    """Canonical lags ``wrap(s - t)`` for broadcastable ``s`` and ``t``.
+
+    The points are wrapped first, in ``O(size)`` each, so their difference
+    lies in (-2*pi, 2*pi) and one masked ``+ 2*pi`` brings it into range;
+    a tiny negative difference that rounds up to the period is set to 0.
+    For points already in [0, 2*pi) this is bit for bit ``wrap(s - t)``.
+    Returns a new array, 0-d for scalar input.
+    """
+    return _into_period(np.asarray(np.subtract(wrap(s), wrap(t))))
+
+
+def _spline_poly(m: int, d) -> np.ndarray:
     """Closed spline-kernel polynomial on the canonical lag d in [0, 2*pi).
 
     Factored forms of d^2/2 - pi*d + pi^2/3 and
     -d^4/24 + pi*d^3/6 - pi^2*d^2/6 + pi^4/45; the factorizations avoid
     cancellation near d = 2*pi and make the d <-> 2*pi - d symmetry exact.
+    Each step writes into one new array shaped like ``d`` (0-d for a
+    scalar), in the order ``pi**2/3 - d*(2*pi - d)/2`` and
+    ``pi**4/45 - (d*(2*pi - d))**2/24`` would evaluate, so the values are
+    those of the unfused expressions.
     """
+    if m not in (1, 2):
+        raise ValueError(f"spline kernel order must be 1 or 2, got {m}")
+    out = np.subtract(TWO_PI, d, out=np.empty(np.shape(d)))
+    np.multiply(d, out, out=out)
     if m == 1:
-        return np.pi**2 / 3.0 - d * (TWO_PI - d) / 2.0
-    if m == 2:
-        return np.pi**4 / 45.0 - (d * (TWO_PI - d)) ** 2 / 24.0
-    raise ValueError(f"spline kernel order must be 1 or 2, got {m}")
+        np.divide(out, 2.0, out=out)
+        return np.subtract(np.pi**2 / 3.0, out, out=out)
+    np.square(out, out=out)
+    np.divide(out, 24.0, out=out)
+    return np.subtract(np.pi**4 / 45.0, out, out=out)
 
 
 def spline_kernel(m: int, s, t):
@@ -324,10 +361,9 @@ def spline_kernel(m: int, s, t):
     polynomial is applied to the canonical lag, and is 2*pi-periodic and
     even as written: substituting ``2*pi - d`` for ``d`` leaves it fixed.
     """
-    if m not in (1, 2):
-        raise ValueError(f"spline kernel order must be 1 or 2, got {m}")
-    d = wrap(np.asarray(s, dtype=float) - np.asarray(t, dtype=float))
-    return _spline_poly(m, np.asarray(d))[()]
+    d = _canonical_lags(np.asarray(s, dtype=float),
+                        np.asarray(t, dtype=float))
+    return _spline_poly(m, d)[()]
 
 
 def spline_covariance(m: int, n_max: int = 10_000) -> IntrinsicCovariance:

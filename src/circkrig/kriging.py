@@ -311,11 +311,17 @@ class UniversalKrigingModel:
     def diagnostics(self) -> dict:
         """How well-posed the fit is: data size ``n``, drift dimension
         ``dim``, ``nugget``, the solver's reciprocal condition estimate
-        ``rcond`` and the worst ``scaled_residual`` of the solves so far
-        (the fit's own and every prediction's)."""
+        ``rcond``, the worst ``scaled_residual`` of the solves so far (the
+        fit's own and every prediction's), the covariance's truncation
+        ``tail_bound`` and ``drift_orthogonality``, ``max |Q^T c|`` for the
+        drift design ``Q`` and the kernel coefficients ``c`` (0 in exact
+        arithmetic: the data expansion is an allowable measure)."""
+        drift = self._solver._drift.T @ self.kernel_coeffs
         return {"n": self.data.n, "dim": self.basis.dim,
                 "nugget": self.nugget, "rcond": self._solver.rcond,
-                "scaled_residual": self._solver.residual}
+                "scaled_residual": self._solver.residual,
+                "tail_bound": self.covariance.tail_bound,
+                "drift_orthogonality": float(np.max(np.abs(drift)))}
 
     def _sections(self, t0):
         """Covariance sections ``k`` (m, n) and drift values ``q`` (m, dim)

@@ -3,9 +3,21 @@
 from __future__ import annotations
 
 import json
+import platform
 from dataclasses import dataclass, field
 
+import numpy
+import scipy
+
 __all__ = ["CheckResult", "Report"]
+
+
+def _versions() -> dict:
+    """Versions of circkrig, numpy, scipy and python, for reports."""
+    from . import __version__  # the package defines it after its imports
+    return {"circkrig": __version__, "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version()}
 
 
 @dataclass(frozen=True)
@@ -51,6 +63,8 @@ class Report:
     # Free-form diagnostic payload (raw statistics, sample moments);
     # never serialized.
     context: dict = field(default_factory=dict)
+    # Wall seconds per suite name, as run by ``run_verification``.
+    seconds: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -68,6 +82,7 @@ class Report:
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"pass": self.passed, "checks": self.to_records()},
-                      fh, indent=2)
+            json.dump({"pass": self.passed, "versions": _versions(),
+                       "seconds": self.seconds,
+                       "checks": self.to_records()}, fh, indent=2)
             fh.write("\n")

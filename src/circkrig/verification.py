@@ -10,11 +10,13 @@ sized so a false failure is rare (< 1% per run at the default sizes).
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 from scipy.linalg import lapack
 
 from . import config as _config
+from . import covariance as _covariance
 from .circle import (
     TWO_PI,
     CardinalBasis,
@@ -28,6 +30,7 @@ from .covariance import (
     Semivariogram,
     SpectralModel,
     phi_from_variogram,
+    spline_covariance,
     spline_kernel,
 )
 from .kriging import Dataset, fit_ordinary, fit_universal, trig_regression
@@ -313,10 +316,99 @@ def _injected_covariance(rng, kappa: int, n_freq: int) -> IntrinsicCovariance:
                                closed_form=series)
 
 
+def _wrap_oracle(theta):
+    """:func:`~circkrig.circle.wrap` as a floor-division remainder:
+    ``np.mod``, then 0 where a tiny negative rounded up to the period."""
+    r = np.mod(theta, TWO_PI)
+    return np.where(r >= TWO_PI, 0.0, r)[()]
+
+
+def _closed_form_oracle(m: int, x: np.ndarray, y: np.ndarray,
+                        shift: float) -> np.ndarray:
+    """Spline-m Gram ``shift + phi(x_i - y_j)`` from the wrapped explicit
+    lag matrix, one new array per arithmetic step."""
+    d = _wrap_oracle(np.subtract.outer(x, y))
+    if m == 1:
+        vals = np.pi**2 / 3.0 - d * (TWO_PI - d) / 2.0
+    else:
+        vals = np.pi**4 / 45.0 - (d * (TWO_PI - d)) ** 2 / 24.0
+    return vals + shift
+
+
+# Canonical angles at the edges of [0, 2*pi): differences of 0 with the
+# tiny ones are negatives that round up to the period once 2*pi is added.
+_EDGE_POINTS = (0.0, 5.0e-324, 1.0e-300, 1.0e-17, 1.0,
+                math.nextafter(1.0, 2.0), math.pi,
+                math.nextafter(TWO_PI, 0.0))
+
+
+def _edge_angles() -> np.ndarray:
+    """Angles where a remainder is easy to get wrong: signed zeros and
+    tiny values, multiples of the period and their neighbours, huge
+    values, NaN and infinities."""
+    k = TWO_PI * np.arange(1.0, 4.0)
+    near = [math.nextafter(TWO_PI, 0.0), math.nextafter(TWO_PI, 7.0)]
+    pos = np.concatenate([[0.0, 5.0e-324, 1.0e-300, 1.0e-17, 1.0e300,
+                           np.inf], k, near])
+    return np.concatenate([pos, -pos, [np.nan]])
+
+
+def _bit_differences(a, b) -> int:
+    """Entries whose float64 bit patterns differ; two NaNs agree."""
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    if a.shape != b.shape:
+        return max(a.size, b.size)
+    differ = a.view(np.uint64) != b.view(np.uint64)
+    return int(np.count_nonzero(differ & ~(np.isnan(a) & np.isnan(b))))
+
+
+def _closed_form_agreement(rng, n_sets: int) -> int:
+    """Entries that differ bit for bit from the oracles, over ``n_sets``
+    random canonical point sets (each with :data:`_EDGE_POINTS`) against an
+    equispaced prediction grid.
+
+    Each set compares, for m = 1 and 2 and a shifted copy, the symmetric
+    Gram and the grid-by-data sections with :func:`_closed_form_oracle`;
+    the lag matrices with the wrapped explicit differences; and ``wrap``
+    on random angles in [-50, 50] plus :func:`_edge_angles` with
+    :func:`_wrap_oracle`.
+    """
+    differing = 0
+    with np.errstate(invalid="ignore"):
+        angles = np.concatenate([_edge_angles(),
+                                 rng.uniform(-50.0, 50.0, 1000)])
+        differing += _bit_differences(wrap(angles), _wrap_oracle(angles))
+    for _ in range(int(n_sets)):
+        x = np.concatenate([_EDGE_POINTS,
+                            rng.uniform(0.0, TWO_PI,
+                                        int(rng.integers(10, 200)))])
+        size = int(rng.integers(16, 512))
+        grid = TWO_PI * np.arange(size) / size
+        for t in (x, grid):
+            differing += _bit_differences(
+                _covariance._canonical_lags(t[:, None], x),
+                _wrap_oracle(np.subtract.outer(t, x)))
+        shift = float(rng.uniform(-5.0, 5.0))
+        for m in (1, 2):
+            for s in (0.0, shift):
+                cov = spline_covariance(m).with_shift(s)
+                differing += _bit_differences(
+                    cov.gram(x), _closed_form_oracle(m, x, x, s))
+                differing += _bit_differences(
+                    cov.gram(grid, x), _closed_form_oracle(m, grid, x, s))
+    return differing
+
+
+# Point sets per kernel-suite run in the closed-form agreement check.
+_CLOSED_FORM_SETS = 8
+
+
 def kernel_checks(seed: int = 0, n_sets: int = 50, max_points: int = 40,
                   negative_gamma: bool = False) -> Report:
     """Positive semidefiniteness, the reproducing property, and agreement
-    of the series covariance with its explicit-lag oracle.
+    of the series and closed-form covariances with their explicit-lag
+    oracles.
 
     Random finite-spectrum models of orders 1..3 are evaluated on random
     point sets; Gram eigenvalues must not dip below ``-1e-10`` times the
@@ -324,7 +416,10 @@ def kernel_checks(seed: int = 0, n_sets: int = 50, max_points: int = 40,
     must return its point value to 1e-9.  Over ``_SERIES_MODELS`` further
     models, lists of up to ~2000 weights and power laws cut off at up to
     10**4, ``IntrinsicCovariance.gram`` and evaluation at lags must match
-    :func:`_series_oracle` within :func:`_series_rounding_bound`.
+    :func:`_series_oracle` within :func:`_series_rounding_bound`.  The
+    closed-form spline Grams and sections, their lag matrices and ``wrap``
+    must match the explicit-lag oracles bit for bit on canonical points
+    (:func:`_closed_form_agreement`).
 
     ``negative_gamma`` flips one spectral weight negative (the model
     constructor forbids this, so the bad series enters through the
@@ -361,6 +456,9 @@ def kernel_checks(seed: int = 0, n_sets: int = 50, max_points: int = 40,
         err = abs(ip - float(f(x0))) / max(1.0, abs(float(f(x0))))
         worst_reprod = max(worst_reprod, err)
     worst_series = _series_agreement(rng, _SERIES_MODELS)
+    # A stream of its own, so the draws of the checks above do not move.
+    differing = _closed_form_agreement(np.random.default_rng([seed, 203]),
+                                       _CLOSED_FORM_SETS)
 
     return Report([
         CheckResult("kernel-positive-semidefinite", worst_eig, 1.0e-10,
@@ -374,6 +472,12 @@ def kernel_checks(seed: int = 0, n_sets: int = 50, max_points: int = 40,
                     "worst gap to the explicit-lag series over "
                     f"{_SERIES_MODELS} models, in units of the rounding "
                     "bound"),
+        CheckResult("closed-form-gram-agreement", differing, 0.0,
+                    differing == 0,
+                    "entries of spline Grams, sections, lag matrices and "
+                    "wrapped angles that differ bit for bit from the "
+                    "np.mod wrap and the explicit-lag closed form, over "
+                    f"{_CLOSED_FORM_SETS} canonical point sets"),
     ])
 
 
@@ -889,7 +993,8 @@ def run_verification(config: dict | None = None) -> Report:
     ``kernel_sets``, ``kriging_instances``, ``smoothing_instances``,
     ``ordinary_instances``), and ``inject`` (fault-injection hooks for
     exercising the checks themselves, for example
-    ``{"negative_gamma": true}``).
+    ``{"negative_gamma": true}``).  The report's ``seconds`` maps each
+    suite run to its wall time.
     """
     cfg = dict(config or {})
     checks = cfg.get("checks", list(SUITE_NAMES))
@@ -910,30 +1015,29 @@ def run_verification(config: dict | None = None) -> Report:
     inject = _config.block(cfg, "inject")
 
     report = Report()
-    if "measures" in checks:
-        report.extend(measure_checks(seed, count("n_measures", 1000)))
-    if "splines" in checks:
-        report.extend(spline_checks(seed))
-    if "kernel" in checks:
-        report.extend(kernel_checks(
-            seed, count("kernel_sets", 50),
-            negative_gamma=_config.flag(inject.get("negative_gamma", False),
-                                        "inject.negative_gamma")))
-    if "kriging" in checks:
-        report.extend(primal_dual_checks(
-            seed, count("kriging_instances", 100)))
-    if "smoothing" in checks:
-        report.extend(smoothing_limit_checks(
-            seed, count("smoothing_instances", 20)))
-    if "ordinary" in checks:
-        report.extend(ordinary_universal_checks(
-            seed, count("ordinary_instances", 50)))
-    if "bridge-moments" in checks:
-        report.extend(bridge_moment_checks(
-            seed, count("n_realizations", 20_000), count("grid_size", 512),
-            tol_factor=tol_factor))
-    if "stationarity" in checks:
-        report.extend(stationarity_checks(
-            seed, count("stationarity_realizations", 5000),
-            count("stationarity_grid", 256), tol_factor=tol_factor))
+
+    def run(suite: str, make) -> None:
+        if suite in checks:
+            start = time.perf_counter()
+            report.extend(make())
+            report.seconds[suite] = time.perf_counter() - start
+
+    run("measures", lambda: measure_checks(seed, count("n_measures", 1000)))
+    run("splines", lambda: spline_checks(seed))
+    run("kernel", lambda: kernel_checks(
+        seed, count("kernel_sets", 50),
+        negative_gamma=_config.flag(inject.get("negative_gamma", False),
+                                    "inject.negative_gamma")))
+    run("kriging", lambda: primal_dual_checks(
+        seed, count("kriging_instances", 100)))
+    run("smoothing", lambda: smoothing_limit_checks(
+        seed, count("smoothing_instances", 20)))
+    run("ordinary", lambda: ordinary_universal_checks(
+        seed, count("ordinary_instances", 50)))
+    run("bridge-moments", lambda: bridge_moment_checks(
+        seed, count("n_realizations", 20_000), count("grid_size", 512),
+        tol_factor=tol_factor))
+    run("stationarity", lambda: stationarity_checks(
+        seed, count("stationarity_realizations", 5000),
+        count("stationarity_grid", 256), tol_factor=tol_factor))
     return report

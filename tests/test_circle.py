@@ -12,7 +12,7 @@ from circkrig import (
     angular_distance,
     wrap,
 )
-from circkrig.verification import random_allowable_measure
+from circkrig.verification import _wrap_oracle, random_allowable_measure
 
 
 class TestWrap:
@@ -37,6 +37,46 @@ class TestWrap:
 
     def test_scalar_in_scalar_out(self):
         assert np.ndim(wrap(7.0)) == 0
+
+    def test_edge_cases_bit_for_bit_against_np_mod(self):
+        k = TWO_PI * np.arange(1.0, 5.0)
+        pos = np.concatenate([
+            [0.0, 5e-324, 1e-300, 1e-17, 1e-16, 1e300, np.inf],
+            k, np.nextafter(k, 0.0), np.nextafter(k, np.inf)])
+        t = np.concatenate([pos, -pos, [np.nan]])
+        with np.errstate(invalid="ignore"):
+            got, want = wrap(t), _wrap_oracle(t)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert not np.any(np.signbit(got[~np.isnan(got)]))
+        assert np.array_equal(np.isnan(got), ~np.isfinite(t))
+        finite = got[np.isfinite(got)]
+        assert np.all((0.0 <= finite) & (finite < TWO_PI))
+        # One by one, as scalars, the same values.
+        for v in t:
+            with np.errstate(invalid="ignore"):
+                a, b = wrap(float(v)), _wrap_oracle(float(v))
+            assert (a == b and np.signbit(a) == np.signbit(b)) or \
+                (np.isnan(a) and np.isnan(b)), v
+
+    def test_random_angles_bit_for_bit_against_np_mod(self):
+        t = np.random.default_rng(2).uniform(-50.0, 50.0, 20_000)
+        assert wrap(t).tobytes() == _wrap_oracle(t).tobytes()
+
+    @pytest.mark.parametrize("theta", [7.0, -7, np.float64(-0.0),
+                                       np.array(7.0), np.array([7.0]),
+                                       [1.0, -2.0], np.ones((2, 3))])
+    def test_return_type_and_shape_match_np_mod(self, theta):
+        got, want = wrap(theta), _wrap_oracle(theta)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.array_equal(got, want)
+
+    def test_input_array_is_not_modified(self):
+        t = np.array([-1.0, 7.0, -0.0])
+        wrap(t)
+        assert t.tobytes() == np.array([-1.0, 7.0, -0.0]).tobytes()
 
 
 class TestAngularDistance:

@@ -2,10 +2,13 @@
 
 import csv
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
+import circkrig
 from circkrig import SpectralModel, simulate_irf
 from circkrig.cli import main
 
@@ -162,6 +165,27 @@ class TestFit:
         assert 0.0 < diag["rcond"] <= 1.0
         assert 0.0 < diag["scaled_residual"] <= 1.0e-8
 
+    def test_config_echo_carries_tail_bound_and_drift_orthogonality(
+            self, tmp_path):
+        data = _write_data(tmp_path / "data.csv", [0.0, 1.5, 3.0, 4.5, 5.5],
+                           [1.0, -0.5, 0.25, 2.0, 0.0])
+        spectrum = {"kappa": 2, "type": "power", "a": 1.0, "p": 3.0,
+                    "n_max": 40}
+        for name, model, tail in (
+                ("spline", {"kernel": "spline-m1"}, 0.0),
+                ("power", {"spectrum": spectrum}, 40.0 ** -2 / 2.0)):
+            out = tmp_path / f"{name}.csv"
+            config = _write_json(tmp_path / f"{name}.json", {
+                "model": model, "nugget": 0.1,
+                "io": {"data": data, "output": str(out), "grid_size": 8},
+            })
+            assert main(["fit", "--config", config]) == 0
+            diag = json.loads(
+                (tmp_path / f"{name}.csv.config.json").read_text())[
+                    "diagnostics"]
+            assert diag["tail_bound"] == pytest.approx(tail, rel=1e-12)
+            assert 0.0 <= diag["drift_orthogonality"] <= 1.0e-12
+
     def test_unknown_kernel(self, tmp_path, capsys):
         data = _write_data(tmp_path / "d.csv", [0.0, 1.0], [0.0, 1.0])
         config = _write_json(tmp_path / "fit.json", {
@@ -302,6 +326,24 @@ class TestVerify:
         printed = capsys.readouterr().out
         assert "measure-annihilation" in printed
         assert "verify: PASS" in printed
+
+    def test_report_carries_versions_and_suite_seconds(self, tmp_path):
+        out = tmp_path / "report.json"
+        config = _write_json(tmp_path / "v.json", {
+            "verify": {"checks": ["splines", "measures"], "n_measures": 20},
+            "io": {"output": str(out)},
+        })
+        assert main(["verify", "--config", config]) == 0
+        payload = json.loads(out.read_text())
+        versions = payload["versions"]
+        assert versions["circkrig"] == circkrig.__version__
+        assert versions["numpy"] == np.__version__
+        assert versions["scipy"] == scipy.__version__
+        assert versions["python"] == platform.python_version()
+        assert set(payload["seconds"]) == {"splines", "measures"}
+        assert all(s > 0.0 for s in payload["seconds"].values())
+        assert [r["check_name"] for r in payload["checks"]][0] == \
+            "measure-annihilation"
 
     def test_negative_gamma_injection_fails(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -21,7 +21,11 @@ from circkrig import (
     spline_covariance,
     spline_kernel,
 )
-from circkrig.verification import _series_oracle, _series_rounding_bound
+from circkrig.verification import (
+    _closed_form_oracle,
+    _series_oracle,
+    _series_rounding_bound,
+)
 
 # Ceiling on traced allocation beyond a call's own result.
 MEMORY_CEILING = 128 * 2**20
@@ -234,6 +238,58 @@ class TestFactoredSeries:
                               spline_kernel(m, x[:, None], y[None, :]))
         assert np.array_equal(cov.gram(x),
                               spline_kernel(m, x[:, None], x[None, :]))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_closed_form_gram_is_bit_identical_on_canonical_points(self, m):
+        rng = np.random.default_rng(17)
+        x = np.concatenate([[0.0, 1e-17, np.nextafter(TWO_PI, 0.0)],
+                            rng.uniform(0.0, TWO_PI, 100)])
+        grid = TWO_PI * np.arange(64) / 64
+        cov = spline_covariance(m).with_shift(0.7)
+        assert cov.gram(x).tobytes() == \
+            _closed_form_oracle(m, x, x, 0.7).tobytes()
+        assert cov.gram(grid, x).tobytes() == \
+            _closed_form_oracle(m, grid, x, 0.7).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("radius", [TWO_PI, 50.0])
+    def test_closed_form_gram_off_canonical_points(self, m, radius):
+        # Points are wrapped before they are differenced, the oracle
+        # differences them first: the lags then differ by the rounding of
+        # x - y, up to eps * (|x| + |y| + 2 pi), which moves the value by at
+        # most the kernel's slope times that.
+        rng = np.random.default_rng(18)
+        x = rng.uniform(-radius, radius, 300)
+        y = rng.uniform(-radius, radius, 200)
+        cov = spline_covariance(m)
+        slope = np.pi if m == 1 else np.pi**3 / 6.0
+        eps = np.finfo(float).eps
+        bound = eps * (cov.phi0 + slope * (2.0 * radius + TWO_PI))
+        for a, b in ((x, y), (x, x)):
+            gap = np.max(np.abs(cov.gram(a, b)
+                                - _closed_form_oracle(m, a, b, 0.0)))
+            assert gap <= bound
+
+    @pytest.mark.parametrize("targets", [800, 512])
+    def test_closed_form_gram_memory(self, targets):
+        # The 800-point spline-m2 Gram and the 512 x 800 sections hold the
+        # output and one lag matrix, plus a boolean mask while the lags are
+        # brought into [0, 2 pi).  Evaluating on the explicit lag matrix
+        # held four arrays of the output's size.
+        rng = np.random.default_rng(19)
+        x = rng.uniform(0.0, TWO_PI, 800)
+        t = x if targets == 800 else TWO_PI * np.arange(targets) / targets
+        cov = spline_covariance(2)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            gram = cov.gram(t, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entries = targets * 800
+        assert gram.shape == (targets, 800)
+        assert peak <= 2 * 8 * entries + entries + 2**16
 
     def test_gram_memory_list_spectrum(self):
         # 508 frequencies at 1000 points: the lag-matrix evaluation held a

@@ -217,13 +217,34 @@ class TestUniversalKriging:
             SpectralModel.from_list(2, rng.uniform(0.2, 1.0, 8)), 0.25)
         diag = model.diagnostics
         assert set(diag) == {"n", "dim", "nugget", "rcond",
-                             "scaled_residual"}
+                             "scaled_residual", "tail_bound",
+                             "drift_orthogonality"}
         assert (diag["n"], diag["dim"], diag["nugget"]) == (12, 3, 0.25)
         assert 0.0 < diag["rcond"] <= 1.0
         assert 0.0 < diag["scaled_residual"] <= _MAX_RESIDUAL
         model.predict_with_variance(rng.uniform(0, TWO_PI, 50))
         assert model.diagnostics["scaled_residual"] >= diag[
             "scaled_residual"]
+
+    @pytest.mark.parametrize("kappa", [1, 2, 3])
+    def test_diagnostics_tail_bound_and_drift_orthogonality(self, kappa):
+        rng = np.random.default_rng(43)
+        pts = np.sort(rng.uniform(0, TWO_PI, 40))
+        data = Dataset(pts, 100.0 * rng.standard_normal(40))
+        power = SpectralModel.power_law(kappa, 1.0, 3.0, n_max=50)
+        listed = SpectralModel.from_list(kappa, rng.uniform(0.2, 1.0, 30))
+        cases = [(power, power.tail_bound()), (listed, 0.0)]
+        if kappa == 1:
+            cases.append((spline_covariance(2), 0.0))
+        for model, tail in cases:
+            fit = fit_universal(data, model, 0.1)
+            diag = fit.diagnostics
+            assert diag["tail_bound"] == tail
+            q = NilSpaceBasis(kappa).design_matrix(pts)
+            assert diag["drift_orthogonality"] == \
+                np.max(np.abs(q.T @ fit.kernel_coeffs))
+            assert diag["drift_orthogonality"] <= 1e-12 * np.max(
+                np.abs(fit.kernel_coeffs))
 
     def test_fit_memory(self):
         # Spline m=2 at n = 800 with variances on 512 points.  The fit holds

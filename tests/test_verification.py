@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from circkrig import TWO_PI, UniversalKrigingModel, covariance, simulate
+from circkrig import (
+    TWO_PI,
+    UniversalKrigingModel,
+    covariance,
+    simulate,
+    wrap,
+)
 from circkrig.kriging import _SaddleSolver
 from circkrig.verification import (
     _gaps_shrink,
@@ -51,6 +57,40 @@ class TestGramSeriesAgreement:
             lambda t, f, weight: features(t, f + 1.0, weight))
         check = _result(kernel_checks(0, n_sets=2), "gram-series-agreement")
         assert not check.passed
+
+
+class TestClosedFormGramAgreement:
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_passes(self, seed):
+        check = _result(kernel_checks(seed, n_sets=2),
+                        "closed-form-gram-agreement")
+        assert check.passed, check
+        assert check.statistic == 0
+
+    def test_flags_lags_without_the_period_guard(self, monkeypatch):
+        # A tiny negative difference plus 2 pi rounds to 2 pi itself; the
+        # spline values there equal those at 0, so only the lags show it.
+        def unguarded(s, t):
+            d = np.asarray(np.subtract(wrap(s), wrap(t)))
+            np.add(d, TWO_PI, out=d, where=d < 0.0)
+            return d
+
+        monkeypatch.setattr(covariance, "_canonical_lags", unguarded)
+        check = _result(kernel_checks(0, n_sets=2),
+                        "closed-form-gram-agreement")
+        assert not check.passed
+        assert 0 < check.statistic
+
+    def test_flags_lags_one_ulp_off(self, monkeypatch):
+        lags = covariance._canonical_lags
+        monkeypatch.setattr(
+            covariance, "_canonical_lags",
+            lambda s, t: np.nextafter(lags(s, t), np.inf))
+        report = kernel_checks(0, n_sets=2)
+        assert not _result(report, "closed-form-gram-agreement").passed
+        others = [r for r in report.results
+                  if r.name != "closed-form-gram-agreement"]
+        assert all(r.passed for r in others), others
 
 
 class TestKrigingVarianceAgreement:

@@ -124,7 +124,8 @@ class DiscreteMeasure:
         if k == 0:
             return float(self.weights.sum()), 0.0
         kt = k * self.locations
-        return float(self.weights @ np.cos(kt)), float(self.weights @ np.sin(kt))
+        return (float(self.weights @ np.cos(kt)),
+                float(self.weights @ np.sin(kt)))
 
     def is_allowable(self, kappa: int, tol: float = 1.0e-9) -> bool:
         """Whether all moments at frequencies below ``kappa`` vanish.

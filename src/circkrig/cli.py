@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -54,23 +55,31 @@ def _load_config(path: str) -> dict:
 
 def _read_series_csv(path: str, degrees: bool) -> tuple[np.ndarray,
                                                         np.ndarray]:
-    """Read (angle, value) rows; extra columns are ignored."""
+    """Read (angle, value) rows; extra columns are ignored.
+
+    A repeated column name means its last column, and blank lines are
+    skipped without counting toward the reported line numbers.
+    """
     angles = []
     values = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise _CommandError(f"{path}: file is empty")
-        missing = {"angle", "value"} - set(reader.fieldnames)
+        index = {name: i for i, name in enumerate(header)}
+        missing = {"angle", "value"} - set(index)
         if missing:
             raise _CommandError(
                 f"{path}: missing column(s) {sorted(missing)}; "
-                f"found {reader.fieldnames}"
+                f"found {header}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            for col, dest in (("angle", angles), ("value", values)):
-                raw = row.get(col)
-                if raw is None or raw.strip() == "":
+        columns = ((index["angle"], "angle", angles),
+                   (index["value"], "value", values))
+        for lineno, row in enumerate(filter(None, reader), start=2):
+            for i, col, dest in columns:
+                raw = row[i] if i < len(row) else ""
+                if raw.strip() == "":
                     raise _CommandError(
                         f"{path}: line {lineno}: missing {col}")
                 try:
@@ -79,7 +88,7 @@ def _read_series_csv(path: str, degrees: bool) -> tuple[np.ndarray,
                     raise _CommandError(
                         f"{path}: line {lineno}: cannot parse {col} "
                         f"value {raw!r}")
-                if not np.isfinite(val):
+                if not math.isfinite(val):
                     raise _CommandError(
                         f"{path}: line {lineno}: {col} is not finite")
                 dest.append(val)
@@ -233,7 +242,7 @@ def cmd_simulate(args) -> int:
         raise _CommandError("simulate needs an output path")
     n_real, grid_size = config.simulation_size(sim_cfg)
     seed = config.number(sim_cfg.get("seed", 0), "simulate.seed",
-                         integer=True)
+                         integer=True, minimum=0)
     low_order = sim_cfg.get("low_order")
     if isinstance(low_order, list):
         low_order = config.numbers(low_order, "simulate.low_order").tolist()

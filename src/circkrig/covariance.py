@@ -106,7 +106,8 @@ class SpectralModel:
                     f"power-law decay p={self.p} is not summable; need p > 1"
                 )
             if int(self.n_max) < self.kappa:
-                raise ValueError("truncation must reach the starting frequency")
+                raise ValueError(
+                    "truncation must reach the starting frequency")
             object.__setattr__(self, "a", float(self.a))
             object.__setattr__(self, "p", float(self.p))
             object.__setattr__(self, "n_max", int(self.n_max))
@@ -237,7 +238,7 @@ def _harmonic_sum(model: SpectralModel, x: np.ndarray, y: np.ndarray | None,
 
 
 class IntrinsicCovariance:
-    """Callable covariance ``phi(theta) = sum_{n>=kappa} gamma_n cos(n theta)``.
+    """Callable covariance ``phi(t) = sum_{n>=kappa} gamma_n cos(n t)``.
 
     Evaluation is by the (possibly truncated) series, summed in factored
     form (see the module docstring), unless ``closed_form`` is supplied, in

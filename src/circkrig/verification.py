@@ -17,6 +17,7 @@ from scipy.linalg import lapack
 
 from . import config as _config
 from . import covariance as _covariance
+from . import simulate as _simulate
 from .circle import (
     TWO_PI,
     CardinalBasis,
@@ -174,29 +175,31 @@ def spline_checks(seed: int = 0, n_lags: int = 200,
     """
     rng = np.random.default_rng([seed, 110])
     lags = rng.uniform(0.0, TWO_PI, n_lags)
-    results = []
+    orders = (1, 2)
     ld = np.longdouble
     lags_ld = lags.astype(ld)
-    for m in (1, 2):
-        # Reference partial sum: the leading mass in extended precision
-        # (where nearly all of it sits), the thin tail in float64, so the
-        # reference is the true partial sum to well below 1e-15.
-        head = min(1000, n_terms)
-        n_head = np.arange(1, head + 1, dtype=ld)
-        partial = (ld(2.0) * n_head ** (-2 * m)) @ np.cos(
-            np.multiply.outer(n_head, lags_ld))
-        block = 10_000
-        for start in range(head + 1, n_terms + 1, block):
-            n = np.arange(start, min(start + block, n_terms + 1),
-                          dtype=float)
-            partial = partial + (2.0 * n ** (-2.0 * m)) @ \
-                np.cos(np.multiply.outer(n, lags))
+    # Reference partial sums: the leading mass in extended precision (where
+    # nearly all of it sits), the thin tail in float64, so each reference
+    # is the true partial sum to well below 1e-15.  Each block of cosines
+    # serves both orders.
+    head = min(1000, n_terms)
+    n_head = np.arange(1, head + 1, dtype=ld)
+    cos_head = np.cos(np.multiply.outer(n_head, lags_ld))
+    partial = {m: (ld(2.0) * n_head ** (-2 * m)) @ cos_head for m in orders}
+    block = 10_000
+    for start in range(head + 1, n_terms + 1, block):
+        n = np.arange(start, min(start + block, n_terms + 1), dtype=float)
+        cos_tail = np.cos(np.multiply.outer(n, lags))
+        for m in orders:
+            partial[m] = partial[m] + (2.0 * n ** (-2.0 * m)) @ cos_tail
+    results = []
+    for m in orders:
         closed = np.asarray(spline_kernel(m, lags, 0.0), dtype=ld)
         # Integral-comparison tail bound, floored at 1e-14 to leave room
         # for float64 rounding of the closed form itself.
         bound = max(2.0 * n_terms ** (1.0 - 2.0 * m) / (2.0 * m - 1.0),
                     1.0e-14)
-        worst = float(np.max(np.abs(closed - partial)))
+        worst = float(np.max(np.abs(closed - partial[m])))
         results.append(CheckResult(
             f"spline-m{m}-series-agreement", worst, bound,
             worst <= bound, f"partial series with {n_terms} terms"))
@@ -778,13 +781,27 @@ def _bridge_mean_variance_oracle(panels: int = 400) -> float:
     return float(_simpson(_simpson(kern, h), h) / (4.0 * np.pi**2))
 
 
+def _stream_oracle(out: np.ndarray, seed: int) -> np.ndarray:
+    """Row ``i`` of ``out`` filled with the first draws of
+    ``default_rng([seed, i])``, one generator per row.
+
+    The reference for the sampler's vectorized seeding,
+    ``simulate._fill_standard_normal``.
+    """
+    for i, row in enumerate(out):
+        np.random.default_rng([seed, i]).standard_normal(out=row)
+    return out
+
+
 def _irf_oracle(model: SpectralModel, n_realizations: int, grid_size: int,
                 seed: int, low_order=None) -> np.ndarray:
     """:func:`simulate_irf`'s paths by explicit synthesis.
 
     Builds the ``F x G`` cosine and sine matrices and sums the coefficients
-    of each path against them, one ``default_rng([seed, i])`` per path in
-    the sampler's draw order; meant for verification-sized grids only.
+    of each path against them, in the sampler's draw order; meant for
+    verification-sized grids only.  The draws come from the sampler's own
+    stream, which ``seed-stream-agreement`` checks against
+    :func:`_stream_oracle`, so this oracle isolates the synthesis.
     """
     grid = TWO_PI * np.arange(grid_size) / grid_size
     freqs = model.frequencies().astype(float)
@@ -792,15 +809,18 @@ def _irf_oracle(model: SpectralModel, n_realizations: int, grid_size: int,
     cos_t = np.cos(np.multiply.outer(freqs, grid))
     sin_t = np.sin(np.multiply.outer(freqs, grid))
     design = NilSpaceBasis(model.kappa).design_matrix(grid)
+    random_drift = low_order is not None and np.ndim(low_order) == 0
+    z = _simulate._fill_standard_normal(np.empty((
+        n_realizations,
+        2 * freqs.size + (design.shape[1] if random_drift else 0))), seed)
     out = np.empty((n_realizations, grid_size))
     for i in range(n_realizations):
-        rng = np.random.default_rng([seed, i])
-        coeff = rng.standard_normal((2, freqs.size)) * sd
+        coeff = z[i, :2 * freqs.size].reshape(2, freqs.size) * sd
         out[i] = coeff[0] @ cos_t + coeff[1] @ sin_t
         if low_order is None:
             continue
-        if np.ndim(low_order) == 0:
-            drift = rng.standard_normal(design.shape[1]) * low_order
+        if random_drift:
+            drift = z[i, 2 * freqs.size:] * low_order
         else:
             drift = np.asarray(low_order, dtype=float)
         out[i] += design @ drift
@@ -810,7 +830,8 @@ def _irf_oracle(model: SpectralModel, n_realizations: int, grid_size: int,
 def _bridge_oracle(grid_size: int, n_realizations: int,
                    seed: int) -> np.ndarray:
     """:func:`simulate_brownian_bridge`'s paths from a dense Cholesky
-    factor of the interior covariance ``2*pi*min(s, t) - s*t``.
+    factor of the interior covariance ``2*pi*min(s, t) - s*t``, on the
+    sampler's own draws (as in :func:`_irf_oracle`).
 
     ``O(G^3)`` time and ``O(G^2)`` memory; meant for verification-sized
     grids only.
@@ -818,10 +839,11 @@ def _bridge_oracle(grid_size: int, n_realizations: int,
     interior = TWO_PI * np.arange(1, grid_size) / grid_size
     chol = np.linalg.cholesky(TWO_PI * np.minimum.outer(interior, interior)
                               - np.outer(interior, interior))
+    draws = _simulate._fill_standard_normal(
+        np.empty((n_realizations, grid_size - 1)), seed)
     out = np.zeros((n_realizations, grid_size))
     for i in range(n_realizations):
-        rng = np.random.default_rng([seed, i])
-        out[i, 1:] = chol @ rng.standard_normal(grid_size - 1)
+        out[i, 1:] = chol @ draws[i]
     return out
 
 
@@ -874,6 +896,44 @@ def _synthesis_agreement(rng, n_grids: int) -> float:
                 simulate_brownian_bridge(grid_size, n_paths, seed),
                 _bridge_oracle(grid_size, n_paths, seed)))
     return worst
+
+
+# Master seeds the seed-stream check always covers, besides the suite's
+# own: word boundaries of one to five 32-bit words, one as a numpy integer.
+_EDGE_SEEDS = (0, 2**32 - 1, 2**32, np.uint64(2**64 - 1), 2**64,
+               2**128 + 1)
+# Random master seeds per stationarity-suite run in that check.
+_STREAM_SEEDS = 8
+
+
+def _row_differences(a: np.ndarray, b: np.ndarray) -> int:
+    """Rows of two float64 batches that differ anywhere bit for bit."""
+    return int(np.count_nonzero(np.any(
+        a.view(np.uint64) != b.view(np.uint64), axis=1)))
+
+
+def _stream_agreement(rng, seed: int, n_seeds: int) -> tuple[int, int]:
+    """Rows of the sampler's draws that differ bit for bit from
+    :func:`_stream_oracle`, and the rows compared.
+
+    The master seeds are ``seed``, :data:`_EDGE_SEEDS` and ``n_seeds``
+    random ones of one to six words, each on 1-40 rows of width 1-64.  One
+    more batch at ``seed`` runs past the first hash block.
+    """
+    seeds = [seed, *_EDGE_SEEDS]
+    for _ in range(int(n_seeds)):
+        words = rng.integers(0, 2**32, int(rng.integers(1, 7)))
+        seeds.append(sum(int(w) << (32 * k) for k, w in enumerate(words)))
+    shapes = [(int(rng.integers(1, 41)), int(rng.integers(1, 65)))
+              for _ in seeds]
+    seeds.append(seed)
+    shapes.append((_simulate._SEED_BLOCK + int(rng.integers(1, 65)), 2))
+    differing = 0
+    for s, shape in zip(seeds, shapes):
+        differing += _row_differences(
+            _simulate._fill_standard_normal(np.empty(shape), s),
+            _stream_oracle(np.empty(shape), s))
+    return differing, sum(rows for rows, _ in shapes)
 
 
 def bridge_moment_checks(seed: int = 0, n_realizations: int = 20_000,
@@ -940,14 +1000,23 @@ def stationarity_checks(seed: int = 0, n_realizations: int = 5000,
     stationary outright.  The negative control feeds the raw bridge itself
     to the covariance comparison and must be flagged.  Both samplers also
     meet their explicit oracles, :func:`_irf_oracle` and
-    :func:`_bridge_oracle`, up to rounding.
+    :func:`_bridge_oracle`, up to rounding, and their draws match
+    :func:`_stream_oracle` bit for bit (:func:`_stream_agreement`).
     """
     worst = _synthesis_agreement(np.random.default_rng([seed, 808]),
                                  _SYNTHESIS_GRIDS)
-    report = Report([CheckResult(
-        "simulation-synthesis-agreement", worst, 1.0, worst <= 1.0,
-        f"worst gap to the oracles over {_SYNTHESIS_GRIDS} grids, in units "
-        "of 16 eps G max(1, max|oracle|)")])
+    differing, n_rows = _stream_agreement(
+        np.random.default_rng([seed, 809]), seed, _STREAM_SEEDS)
+    report = Report([
+        CheckResult(
+            "simulation-synthesis-agreement", worst, 1.0, worst <= 1.0,
+            f"worst gap to the oracles over {_SYNTHESIS_GRIDS} grids, in "
+            "units of 16 eps G max(1, max|oracle|)"),
+        CheckResult(
+            "seed-stream-agreement", differing, 0.0, differing == 0,
+            "rows of draws that differ bit for bit from "
+            f"default_rng([s, i]), out of {n_rows}"),
+    ])
     bridge = simulate_brownian_bridge(grid_size, n_realizations, seed)
 
     lam = DiscreteMeasure([0.0, np.pi], [1.0, -1.0])

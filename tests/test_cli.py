@@ -437,6 +437,7 @@ class TestConfigShapes:
         ({"model": {"kernel": {}}}, "kernel must be a name"),
         ({"simulate": {"low_order": {}}},
          "simulate.low_order must be a finite number"),
+        ({"simulate": {"seed": -1}}, "simulate.seed must be >= 0, got -1"),
     ])
     def test_simulate(self, tmp_path, capsys, changes, message):
         cfg = {"model": {"spectrum": _SPECTRUM},

@@ -133,7 +133,9 @@ _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
 def _run(command, cfg):
     with open("config.json", "w", encoding="utf-8") as fh:
         json.dump(cfg, fh)
-    assert main([command, "--config", "config.json"]) in (0, 1)
+    status = main([command, "--config", "config.json"])
+    assert status in (0, 1)
+    return status
 
 
 @_SETTINGS
@@ -161,3 +163,14 @@ def test_power_law_cutoff_fuzz(workdir, n_max):
     cfg = json.loads(json.dumps(_FIT[0]))
     cfg["model"]["spectrum"]["n_max"] = n_max
     _run("fit", cfg)
+
+
+@settings(_SETTINGS, max_examples=30)
+@given(seed=_JSON | st.integers(-2**70, 2**130))
+def test_simulate_seed_fuzz(workdir, seed):
+    # Any non-negative integer seeds a run, however many 32-bit words it
+    # takes; anything else is refused with exit status 1.
+    cfg = json.loads(json.dumps(_SIMULATE[0]))
+    cfg["simulate"]["seed"] = seed
+    valid = isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0
+    assert _run("simulate", cfg) == (0 if valid else 1)

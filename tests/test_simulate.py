@@ -17,11 +17,19 @@ from circkrig import (
     simulate_brownian_bridge,
     simulate_irf,
 )
-from circkrig.verification import _bridge_oracle, _irf_oracle
+from circkrig import simulate
+from circkrig.verification import (
+    _bit_differences,
+    _bridge_oracle,
+    _irf_oracle,
+    _stream_oracle,
+)
 from test_covariance import _peak_beyond_result
 
 # Ceiling on traced allocation beyond the returned batch at G = 8192.
 MEMORY_CEILING = 64 * 2**20
+# Master seeds of one to five 32-bit words, and a numpy integer.
+STREAM_SEEDS = [0, 2**32 - 1, 2**32, 2**64, 2**128 + 1, np.int64(7)]
 
 
 class TestSimulateIrf:
@@ -124,6 +132,59 @@ class TestSeedRegression:
         scale = (16 * np.finfo(float).eps * grid_size
                  * max(1.0, np.abs(want).max()))
         assert np.max(np.abs(got - want)) <= scale
+
+
+class TestSeedStream:
+    """Row ``i`` holds the draws of ``default_rng([seed, i])`` bit for bit,
+    with the seeds hashed a block of paths at a time."""
+
+    @staticmethod
+    def _with_oracle_stream(monkeypatch, run):
+        fast = run()
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_fill_standard_normal", _stream_oracle)
+            return fast, run()
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_irf_rows(self, monkeypatch, seed):
+        model = SpectralModel.power_law(2, 1.5, 2.5, n_max=31)
+        got, want = self._with_oracle_stream(
+            monkeypatch, lambda: simulate_irf(model, 5, 64, seed, 0.7))
+        assert _bit_differences(got, want) == 0
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_bridge_rows(self, monkeypatch, seed):
+        got, want = self._with_oracle_stream(
+            monkeypatch, lambda: simulate_brownian_bridge(64, 5, seed))
+        assert _bit_differences(got, want) == 0
+
+    @pytest.mark.parametrize("n_paths", [0, 1500])
+    def test_batch_sizes(self, n_paths):
+        assert simulate._SEED_BLOCK < 1500  # so 1500 paths cross a block
+        got = simulate._fill_standard_normal(np.empty((n_paths, 3)), 5)
+        assert _bit_differences(
+            got, _stream_oracle(np.empty((n_paths, 3)), 5)) == 0
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, 2.5, "3", [1, 2]])
+    def test_bad_seed_raises(self, seed):
+        spec = SpectralModel.from_list(1, [1.0])
+        with pytest.raises(ValueError, match="seed must be"):
+            simulate_irf(spec, 1, 16, seed)
+        with pytest.raises(ValueError, match="seed must be"):
+            simulate_brownian_bridge(16, 0, seed)
+
+    def test_path_indices_fit_one_word(self):
+        with pytest.raises(ValueError, match="2\\*\\*32 paths"):
+            simulate._fill_standard_normal(np.empty((2**32 + 1, 0)), 0)
+
+    def test_seeding_memory_stays_per_block(self):
+        # Hashing every path at once would hold 32 B of states, plus the
+        # words behind them, per path: over 4 MiB at 2**17 paths.  A block
+        # at a time stays far below 1 MiB whatever the batch size.
+        out, peak = _peak_beyond_result(
+            lambda: simulate_brownian_bridge(2, 2**17, 3))
+        assert out.shape == (2**17, 2)
+        assert peak < 2**20
 
 
 class TestMemory:

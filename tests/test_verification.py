@@ -165,6 +165,36 @@ class TestSimulationSynthesisAgreement:
         assert not check.passed
 
 
+class TestSeedStreamAgreement:
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_passes(self, seed):
+        check = _result(stationarity_checks(seed, n_realizations=1000,
+                                            grid_size=64),
+                        "seed-stream-agreement")
+        assert check.passed, check
+        assert check.statistic == 0
+
+    @staticmethod
+    def _only_stream_check_fails():
+        report = stationarity_checks(0, n_realizations=1000, grid_size=64)
+        check = _result(report, "seed-stream-agreement")
+        assert not check.passed
+        assert check.statistic > 0
+        others = [r for r in report.results
+                  if r.name != "seed-stream-agreement"]
+        assert all(r.passed for r in others), others
+
+    def test_flags_an_output_multiplier_off_by_one(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_MULT_B", simulate._MULT_B + 1)
+        self._only_stream_check_fails()
+
+    def test_flags_seed_and_index_words_swapped(self, monkeypatch):
+        mix = simulate._mix_entropy
+        monkeypatch.setattr(simulate, "_mix_entropy",
+                            lambda entropy: mix(entropy[-1:] + entropy[:-1]))
+        self._only_stream_check_fails()
+
+
 def test_checks_must_be_a_list():
     with pytest.raises(ValueError, match="list of suite names"):
         run_verification({"checks": "kernel"})

@@ -32,14 +32,13 @@ from .verification import run_verification
 __all__ = ["main"]
 
 _SPLINE_KERNELS = {"spline-m1": 1, "spline-m2": 2}
+# Rows formatted into one string per write: a simulate run can write 2**27
+# rows, which must never be held as text at once.
+_CSV_CHUNK = 65_536
 
 
 class _CommandError(Exception):
     """User-facing configuration or input error."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _load_config(path: str) -> dict:
@@ -100,11 +99,18 @@ def _read_series_csv(path: str, degrees: bool) -> tuple[np.ndarray,
     return ang, np.asarray(values)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _chunks(size: int):
+    """Slices of ``range(size)`` of at most ``_CSV_CHUNK`` rows."""
+    for start in range(0, size, _CSV_CHUNK):
+        yield slice(start, start + _CSV_CHUNK)
+
+
+def _open_csv(path: str, header: str):
+    """``path`` opened for writing, with its header line written.  Rows
+    end in ``\r\n``, as ``csv.writer`` ends them."""
+    fh = open(path, "w", newline="", encoding="utf-8")
+    fh.write(header + "\r\n")
+    return fh
 
 
 def _echo_config(output: str, resolved: dict) -> str:
@@ -206,9 +212,12 @@ def cmd_fit(args) -> int:
     variances = np.atleast_1d(variances)
 
     shown = _angles_out(pred_pts, degrees)
-    rows = ((_fmt(a), _fmt(v), _fmt(s2))
-            for a, v, s2 in zip(shown, vals, variances))
-    _write_csv(output, ["angle", "prediction", "kriging_variance"], rows)
+    with _open_csv(output, "angle,prediction,kriging_variance") as fh:
+        for rows in _chunks(shown.size):
+            fh.write("".join(
+                f"{a:.17g},{v:.17g},{s2:.17g}\r\n" for a, v, s2 in zip(
+                    shown[rows].tolist(), vals[rows].tolist(),
+                    variances[rows].tolist())))
 
     resolved = {
         "command": "fit",
@@ -276,12 +285,12 @@ def cmd_simulate(args) -> int:
 
     shown = _angles_out(TWO_PI * np.arange(grid_size) / grid_size, degrees)
 
-    def rows():
+    with _open_csv(output, "angle,value,realization") as fh:
         for i, path in enumerate(paths):
-            for a, v in zip(shown, path):
-                yield _fmt(a), _fmt(v), str(i)
-
-    _write_csv(output, ["angle", "value", "realization"], rows())
+            for rows in _chunks(grid_size):
+                fh.write("".join(
+                    f"{a:.17g},{v:.17g},{i}\r\n" for a, v in zip(
+                        shown[rows].tolist(), path[rows].tolist())))
     resolved = {
         "command": "simulate",
         "model": model_echo,

@@ -7,12 +7,17 @@ The bordered system
 
 is solved once per fit (dual view: the predictor is an expansion in
 covariance sections plus a drift polynomial).  The same factorization with
-right-hand side ``(k, q) = (phi(t0 - t_i), q(t0))`` yields the pointwise
+right-hand side ``v = (k, q) = (phi(t0 - t_i), q(t0))`` yields the pointwise
 weights ``eta`` and multipliers ``rho`` (primal view).  Both views give the
-same prediction, and the prediction-error variance is read off the primal
-solution as ``sigma2(t0) = phi(0) - eta.k - rho.q`` (Cressie, *Statistics
-for Spatial Data*, 1993, section 3.4): ``O(n m)`` work for ``m`` targets
-after the solve.
+same prediction.  The prediction-error variance is the variance of the error
+functional, an allowable measure, which is the quadratic form
+``sigma2(t0) = phi(0) - v^T S^{-1} v = phi(0) - eta.k - rho.q`` in the
+bordered matrix ``S`` (Cressie, *Statistics for Spatial Data*, 1993,
+section 3.4).  It is evaluated without the primal solution, as Rasmussen &
+Williams (*Gaussian Processes for Machine Learning*, 2006, Algorithm 2.1
+and section 2.7) do: one triangular solve ``z = L^{-1} w`` with the Cholesky
+factor ``L`` of the null-space block below, so the variance costs ``n^2 m``
+flops for ``m`` targets, half those of the primal solve.
 
 The system is solved by the null-space method (Nocedal & Wright, *Numerical
 Optimization*, section 16.2).  The allowable measures of the model order
@@ -26,6 +31,12 @@ model is not valid at these points.  A constant shift of the covariance
 drops out, because ``Z^T 1 = 0``.  Ordinary kriging runs the same solver on
 ``-Gamma`` with ``Q = 1``, a semivariogram being conditionally negative
 definite.
+
+Every solve is gated on its scaled residual against the bordered matrix.
+The variance has no primal solution to gate, so each block of targets is
+gated twice instead: the whitened solve on ``|L z - w| / (|L| |z| + |w|)``,
+and the factor as a whole by one bordered solve of the block's summed
+right-hand side.
 
 ``sigma2`` has two equivalent readings: the variance of iid observation
 noise, and the penalty weight of the equivalent smoothing problem over the
@@ -61,8 +72,11 @@ __all__ = [
 # as singular to working precision.
 _MIN_RCOND = 1.0e-15
 # Ceiling on the scaled residual ``|r| / (|A| |x| + |b|)`` of a solve
-# against the bordered matrix.
+# against the bordered matrix, and of the variance's whitened solve.
 _MAX_RESIDUAL = 1.0e-8
+# Targets per block of ``predict_with_variance``: its temporaries are a few
+# ``n x _TARGET_BLOCK`` arrays whatever the number of targets.
+_TARGET_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -118,10 +132,10 @@ class _SaddleSolver:
     allowable measures.
 
     The solver holds ``A`` (for the residual gate), the leading ``l``
-    columns of ``M`` and the Cholesky factor of ``M22``.  ``rcond`` is the
-    smaller reciprocal condition estimate of ``R`` and ``M22`` (an empty
+    columns of ``M`` and the Cholesky factor ``L`` of ``M22``.  ``rcond`` is
+    the smaller reciprocal condition estimate of ``R`` and ``M22`` (an empty
     ``M22``, at ``n == l``, counts as 1), and ``residual`` the worst scaled
-    residual of any solve so far.
+    residual of any solve or quadratic form so far.
     """
 
     def __init__(self, matrix: np.ndarray, drift: np.ndarray, context: str):
@@ -150,6 +164,7 @@ class _SaddleSolver:
                               overwrite=True)
         self._lead = reduced[:, :l].copy()
         self._chol = None
+        self._chol_norm = 0.0
         if n > l:
             self._chol, block_rcond = self._factor(reduced[l:, l:])
             rcond = min(rcond, block_rcond)
@@ -157,8 +172,10 @@ class _SaddleSolver:
         self.residual = 0.0
 
     def _factor(self, block: np.ndarray):
-        """Cholesky factor and reciprocal condition estimate of ``M22``."""
+        """Cholesky factor and reciprocal condition estimate of ``M22``;
+        also keeps ``|L|_F``, which is ``sqrt(trace M22)``."""
         norm = float(np.max(np.abs(block).sum(axis=0)))
+        self._chol_norm = float(np.sqrt(max(np.trace(block), 0.0)))
         chol, info = lapack.dpotrf(block, lower=1)
         if info > 0:
             raise ConditioningError(
@@ -226,6 +243,48 @@ class _SaddleSolver:
         x = self._apply("L", "N", u, overwrite=True)
         self._check(rhs, con, x, y)
         return x.reshape(b.shape), y.reshape((l,) + b.shape[1:])
+
+    def quadratic(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """``v^T S^{-1} v`` for each column ``v = (b, c)`` of ``b`` (n x m)
+        and ``c`` (l x m), with ``S`` the bordered matrix.
+
+        With ``k = H^T b``, ``u1 = R^{-T} c``, ``w = k2 - M21 u1`` and
+        ``z = L^{-1} w``, the form is ``2 k1.u1 - u1^T M11 u1 + |z|^2``: one
+        triangular solve, half the work of :meth:`solve`.  ``b`` may be
+        overwritten.  Besides the whitened solve's own residual gate, the
+        summed column ``(sum_j b_j, sum_j c_j)`` goes through :meth:`solve`,
+        whose bordered gate catches a factor that no longer matches ``A``.
+        """
+        l = self._drift.shape[1]
+        if b.shape[1] == 0:
+            return np.zeros(0)
+        probe = (b.sum(axis=1), c.sum(axis=1))
+        k = self._apply("L", "T", b, overwrite=True)
+        u1 = self._triangular(c, trans=1)
+        quad = (2.0 * np.einsum("ij,ij->j", k[:l], u1)
+                - np.einsum("ij,ij->j", u1, self._lead[:l] @ u1))
+        if self._chol is not None:
+            w = blas.dgemm(-1.0, self._lead[l:], u1, 1.0, k[l:])
+            z, info = lapack.dtrtrs(self._chol, w, lower=1)
+            if info != 0:
+                raise ConditioningError(f"{self._context}: triangular "
+                                        f"solve failed with code {info}")
+            zz = np.einsum("ij,ij->j", z, z)
+            quad += zz
+            size = np.sqrt(zz.sum())
+            # L z - w, formed in place of z once its norm is taken.
+            resid = blas.dtrmm(1.0, self._chol, z, lower=1, overwrite_b=1)
+            resid -= w
+            rel = float(np.linalg.norm(resid) / (
+                self._chol_norm * size + np.linalg.norm(w)
+                + np.finfo(float).tiny))
+            if not np.isfinite(rel) or rel > _MAX_RESIDUAL:
+                raise ConditioningError(
+                    f"{self._context}: whitened solve scaled residual "
+                    f"{rel:.2e}; the system is too ill-conditioned to trust")
+            self.residual = max(self.residual, rel)
+        self.solve(*probe)
+        return quad
 
     def _check(self, b, c, x, y):
         """Gate on the scaled residual against the bordered matrix."""
@@ -355,19 +414,38 @@ class UniversalKrigingModel:
     def predict_with_variance(self, t0) -> tuple[np.ndarray, np.ndarray]:
         """Predictions and prediction-error variances at ``t0``.
 
-        The variance is ``phi(0) - eta.k - rho.q`` from the primal solve,
-        which costs ``O(n m)`` for ``m`` targets on top of it.  Its reading
+        The prediction is the dual expansion, as in :meth:`predict`.  The
+        variance is ``phi(0) - v^T S^{-1} v`` for ``v = (k, q)``, evaluated
+        in the null space as in Rasmussen & Williams, *Gaussian Processes
+        for Machine Learning*, 2006, Algorithm 2.1: one triangular solve
+        with the Cholesky factor ``L`` of the fit, ``n^2`` flops per target
+        plus as many for its residual gate, and no primal solution.  Targets go in blocks of ``_TARGET_BLOCK``,
+        so temporaries stay a few ``n x _TARGET_BLOCK`` arrays.  Each block
+        is gated twice: on the whitened solve's scaled residual, and by one
+        bordered solve of the block's summed right-hand side, which fails
+        if the factor no longer matches the Gram.  The variance's reading
         requires the noise interpretation of the nugget: observations are
         the process plus iid noise of variance ``nugget``, and the target
         is the noise-free process value.
         """
         shape = np.shape(t0)
-        k, q, eta, rho = self._primal(t0)
-        vals = k @ self.kernel_coeffs + q @ self.drift_coeffs
-        var = (self.covariance.phi0 - np.einsum("mn,mn->m", k, eta)
-               - np.einsum("ml,ml->m", q, rho))
+        t0 = np.asarray(t0, dtype=float).reshape(-1)
+        vals = np.empty(t0.size)
+        var = np.empty(t0.size)
+        # A lone last target joins the block before it: numpy takes a
+        # one-row product through dot, not gemv, and rounds it otherwise
+        # than predict() does.
+        starts = list(range(0, t0.size, _TARGET_BLOCK))
+        if len(starts) > 1 and starts[-1] == t0.size - 1:
+            del starts[-1]
+        for start, stop in zip(starts, starts[1:] + [t0.size]):
+            block = slice(start, stop)
+            k, q = self._sections(t0[block])
+            vals[block] = k @ self.kernel_coeffs + q @ self.drift_coeffs
+            var[block] = self.covariance.phi0 - self._solver.quadratic(
+                k.T, q.T)
         # Nonnegative in exact arithmetic; clamp rounding noise.
-        var = np.maximum(var, 0.0)
+        np.maximum(var, 0.0, out=var)
         return vals.reshape(shape)[()], var.reshape(shape)[()]
 
     unbiasedness_measure = _unbiasedness_measure

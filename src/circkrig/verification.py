@@ -34,7 +34,13 @@ from .covariance import (
     spline_covariance,
     spline_kernel,
 )
-from .kriging import Dataset, fit_ordinary, fit_universal, trig_regression
+from .kriging import (
+    _TARGET_BLOCK,
+    Dataset,
+    fit_ordinary,
+    fit_universal,
+    trig_regression,
+)
 from .report import CheckResult, Report
 from .rkhs import RkhsKernel, TruncatedFunction, full_inner_product
 from .simulate import (
@@ -543,6 +549,49 @@ def _bordered_oracle(matrix: np.ndarray, drift: np.ndarray, b: np.ndarray,
     return sol[:n], sol[n:], float(np.linalg.cond(bordered))
 
 
+def _primal_variance_oracle(model, t0) -> np.ndarray:
+    """Kriging variances ``phi0 - eta.k - rho.q`` read off one primal solve
+    with every target as a column, clamped at 0.
+
+    The reference for the whitened solve of
+    :meth:`~circkrig.kriging.UniversalKrigingModel.predict_with_variance`:
+    a full ``dpotrs`` solve and back-transform instead of one triangular
+    solve, over all targets at once instead of in blocks.
+    """
+    k, q, eta, rho = model._primal(t0)
+    var = (model.covariance.phi0 - np.einsum("mn,mn->m", k, eta)
+           - np.einsum("ml,ml->m", q, rho))
+    return np.maximum(var, 0.0)
+
+
+# Instances of the whitened-variance-agreement check: spline m = 1, 2 and
+# finite spectra of orders 1-3, each at nuggets 0 and 0.1.
+_WHITENED_INSTANCES = 8
+
+
+def _whitened_variance_agreement(rng) -> float:
+    """Worst gap between ``predict_with_variance`` and
+    :func:`_primal_variance_oracle`, relative to ``max(1, phi0)``, at
+    ``2 * _TARGET_BLOCK + 1`` targets so that blocks of every kind occur."""
+    worst = 0.0
+    for i in range(_WHITENED_INSTANCES):
+        nugget = (0.0, 0.1)[i % 2]
+        n = int(rng.integers(40, 121))
+        if i < 4:
+            covariance = spline_covariance(1 + i // 2)
+        else:
+            covariance = IntrinsicCovariance(
+                _rich_spectrum(rng, int(rng.integers(1, 4)), n))
+        fit = fit_universal(
+            Dataset(_jittered_points(rng, n), rng.standard_normal(n)),
+            covariance, nugget)
+        t0s = rng.uniform(0.0, TWO_PI, 2 * _TARGET_BLOCK + 1)
+        _, var = fit.predict_with_variance(t0s)
+        gap = np.max(np.abs(var - _primal_variance_oracle(fit, t0s)))
+        worst = max(worst, float(gap) / max(1.0, covariance.phi0))
+    return worst
+
+
 def primal_dual_checks(seed: int = 0, n_instances: int = 100,
                        n_query: int = 20) -> Report:
     """Dual and primal prediction paths agree instance by instance.
@@ -550,12 +599,15 @@ def primal_dual_checks(seed: int = 0, n_instances: int = 100,
     Random instances over orders 1..3, data sizes up to 30, and nuggets
     {0, 0.1, 1}; also checks orthogonality of the dual data coefficients to
     the drift, unbiasedness of the primal weights, and the kriging variance
-    ``phi0 - eta.k - rho.q`` against the quadratic form
+    of ``predict_with_variance`` against the quadratic form
     ``eta.(Psi + nugget*I).eta - 2 eta.k + phi0`` with ``Psi`` rebuilt from
     the covariance (bound 1e-9 relative to ``max(1, phi0)``).  The fitted
     dual coefficients and the primal weights must also match
     :func:`_bordered_oracle`, a dense Bunch-Kaufman solve of the bordered
-    system, within ``_SOLVER_AGREEMENT`` times ``eps * cond``.
+    system, within ``_SOLVER_AGREEMENT`` times ``eps * cond``.  Separately,
+    on spline and finite-spectrum fits with up to 120 points, the variances
+    over ``2 * _TARGET_BLOCK + 1`` targets must match
+    :func:`_primal_variance_oracle` within the same 1e-9 bound.
     """
     rng = np.random.default_rng([seed, 303])
     sigmas = [0.0, 0.1, 1.0]
@@ -609,6 +661,8 @@ def primal_dual_checks(seed: int = 0, n_instances: int = 100,
                         np.linalg.norm(want_y, axis=0))
         worst_solve = max(worst_solve, float(np.max(
             gap / (np.finfo(float).eps * cond * size))))
+    worst_whitened = _whitened_variance_agreement(
+        np.random.default_rng([seed, 313]))
 
     return Report([
         CheckResult("primal-dual-agreement", worst_rel, 1.0e-9,
@@ -622,6 +676,10 @@ def primal_dual_checks(seed: int = 0, n_instances: int = 100,
         CheckResult("kriging-variance-agreement", worst_var, 1.0e-9,
                     worst_var <= 1.0e-9,
                     "against the quadratic form in the primal weights"),
+        CheckResult("whitened-variance-agreement", worst_whitened, 1.0e-9,
+                    worst_whitened <= 1.0e-9,
+                    "worst gap to the variance read off the primal solve, "
+                    f"over {_WHITENED_INSTANCES} fits"),
         CheckResult("solver-agreement", worst_solve, _SOLVER_AGREEMENT,
                     worst_solve <= _SOLVER_AGREEMENT,
                     "worst gap to the dense bordered solve, in units of "
@@ -1079,7 +1137,8 @@ def run_verification(config: dict | None = None) -> Report:
         return _config.number(cfg.get(key, default), key, integer=True,
                               minimum=1)
 
-    seed = _config.number(cfg.get("seed", 0), "seed", integer=True)
+    seed = _config.number(cfg.get("seed", 0), "seed", integer=True,
+                          minimum=0)
     tol_factor = _config.number(cfg.get("tol_factor", 4.0), "tol_factor")
     inject = _config.block(cfg, "inject")
 

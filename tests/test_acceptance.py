@@ -84,7 +84,8 @@ def _emit(num, text, results, extra_ok=True, extra=""):
     passed = all(r.passed for r in results) and extra_ok
     status = "PASS" if passed else "FAIL"
     worst = max(results, key=lambda r: r.statistic / max(r.threshold, 1e-300))
-    detail = f"worst {worst.name}: {worst.statistic:.3g} vs {worst.threshold:g}"
+    detail = (f"worst {worst.name}: {worst.statistic:.3g} "
+              f"vs {worst.threshold:g}")
     if extra:
         detail += f"; {extra}"
     print(f"criterion {num:2d} {status}: {text} ({detail})")

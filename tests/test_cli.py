@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import csv
+import io
 import json
 import platform
 
@@ -9,7 +10,14 @@ import pytest
 import scipy
 
 import circkrig
-from circkrig import SpectralModel, simulate_irf
+from circkrig import (
+    Dataset,
+    SpectralModel,
+    fit_universal,
+    simulate_irf,
+    spline_covariance,
+)
+from circkrig import cli
 from circkrig.cli import main
 
 TWO_PI = 2.0 * np.pi
@@ -40,6 +48,16 @@ def _read_output(path):
     return rows
 
 
+def _csv_writer_bytes(header, rows):
+    """The file ``csv.writer`` makes of ``rows``, floats at 17 digits."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([format(float(v), ".17g") if isinstance(v, float)
+                      else str(v) for v in row] for row in rows)
+    return text.getvalue().encode("utf-8")
+
+
 class TestFit:
     def test_interpolates_data(self, tmp_path, capsys):
         angles = np.array([0.0, 1.5, 3.0, 4.5])
@@ -60,6 +78,32 @@ class TestFit:
         variances = np.array([float(r["kriging_variance"]) for r in rows])
         assert np.all(variances <= 1e-9)
         assert "fit:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("degrees", [False, True])
+    def test_output_bytes_match_csv_writer(self, tmp_path, monkeypatch,
+                                           degrees):
+        # Rows written in chunks of 7, so chunk edges fall mid-grid.
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 7)
+        rng = np.random.default_rng(8)
+        angles = np.sort(rng.uniform(0.0, TWO_PI, 12))
+        values = rng.standard_normal(12)
+        data = _write_data(tmp_path / "data.csv", np.degrees(angles)
+                           if degrees else angles, values)
+        out = tmp_path / "pred.csv"
+        config = _write_json(tmp_path / "fit.json", {
+            "model": {"kernel": "spline-m2"}, "nugget": 0.1,
+            "io": {"data": data, "output": str(out), "grid_size": 30,
+                   "degrees": degrees}})
+        assert main(["fit", "--config", config]) == 0
+        grid = TWO_PI * np.arange(30) / 30
+        model = fit_universal(
+            Dataset(np.radians(np.degrees(angles)) if degrees else angles,
+                    values), spline_covariance(2), 0.1)
+        pred, var = model.predict_with_variance(grid)
+        shown = np.degrees(grid) if degrees else grid
+        assert out.read_bytes() == _csv_writer_bytes(
+            ["angle", "prediction", "kriging_variance"],
+            zip(shown.tolist(), pred.tolist(), var.tolist()))
 
     def test_heavy_smoothing_approaches_mean(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -245,6 +289,22 @@ class TestSimulate:
         angles = np.array([float(r["angle"]) for r in rows])
         assert np.array_equal(
             angles, np.tile(np.degrees(grid) if degrees else grid, 3))
+
+    def test_output_bytes_match_csv_writer(self, tmp_path, monkeypatch):
+        # Rows written in chunks of 5: chunk edges fall mid-path.
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 5)
+        out = tmp_path / "paths.csv"
+        config = _write_json(tmp_path / "sim.json", {
+            "model": {"spectrum": _SPECTRUM},
+            "simulate": {"n_realizations": 3, "grid_size": 12, "seed": 6},
+            "io": {"output": str(out), "degrees": True}})
+        assert main(["simulate", "--config", config]) == 0
+        paths = simulate_irf(SpectralModel.from_config(_SPECTRUM), 3, 12, 6)
+        shown = np.degrees(np.arange(12) * TWO_PI / 12).tolist()
+        assert out.read_bytes() == _csv_writer_bytes(
+            ["angle", "value", "realization"],
+            [(a, v, i) for i, path in enumerate(paths.tolist())
+             for a, v in zip(shown, path)])
 
     def test_brownian_bridge_row_count(self, tmp_path):
         out = tmp_path / "bridge.csv"
@@ -453,6 +513,8 @@ class TestConfigShapes:
          "kernel_sets must be an integer"),
         ({"verify": {"checks": ["kernel"], "inject": []}},
          "'inject' must be an object"),
+        ({"verify": {"checks": ["measures"], "seed": -1}},
+         "seed must be >= 0, got -1"),
     ])
     def test_verify(self, tmp_path, capsys, changes, message):
         cfg = {"io": {"output": str(tmp_path / "report.json")}, **changes}

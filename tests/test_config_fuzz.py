@@ -174,3 +174,14 @@ def test_simulate_seed_fuzz(workdir, seed):
     cfg["simulate"]["seed"] = seed
     valid = isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0
     assert _run("simulate", cfg) == (0 if valid else 1)
+
+
+@settings(_SETTINGS, max_examples=30)
+@given(seed=_JSON | st.integers(-2**70, 2**130))
+def test_verify_seed_fuzz(workdir, seed):
+    # The verify seed follows the same rule as the simulate seed.
+    cfg = {"verify": {"checks": ["measures"], "n_measures": 3,
+                      "seed": seed},
+           "io": {"output": "report.json"}}
+    valid = isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0
+    assert _run("verify", cfg) == (0 if valid else 1)

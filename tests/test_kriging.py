@@ -20,8 +20,10 @@ from circkrig import (
     spline_covariance,
     trig_regression,
 )
+from circkrig import kriging
 from circkrig.covariance import spline_kernel
-from circkrig.kriging import _MAX_RESIDUAL
+from circkrig.kriging import _MAX_RESIDUAL, _TARGET_BLOCK
+from circkrig.verification import _primal_variance_oracle
 from test_covariance import _peak_beyond_result
 
 
@@ -249,10 +251,9 @@ class TestUniversalKriging:
     def test_fit_memory(self):
         # Spline m=2 at n = 800 with variances on 512 points.  The fit holds
         # the Gram, kept for the residual check, and the Cholesky factor of
-        # the reduced block: 2 n^2 values.  A closed-form Gram evaluation or
-        # one solve (right-hand sides, solution, Cholesky workspace,
-        # residual) needs at most four more arrays the size of the larger
-        # of n x n and n x m.
+        # the reduced block: 2 n^2 values.  The fit's reduction and the
+        # variance blocks (sections, whitened right-hand side and solution)
+        # fit in six more arrays of n x _TARGET_BLOCK.
         n, m = 800, 512
         rng = np.random.default_rng(43)
         pts = (np.arange(n) + rng.uniform(-0.3, 0.3, n)) * TWO_PI / n
@@ -262,7 +263,7 @@ class TestUniversalKriging:
             lambda: fit_universal(data, spline_covariance(2), 0.01)
             .predict_with_variance(grid))
         assert np.all(np.isfinite(pred)) and np.all(var >= 0.0)
-        assert extra <= 8 * (2 * n * n + 4 * max(n * n, n * m))
+        assert extra <= 8 * (2 * n * n + 6 * n * _TARGET_BLOCK)
 
     def test_basis_choice_does_not_change_predictions(self):
         rng = np.random.default_rng(26)
@@ -320,6 +321,71 @@ class TestUniversalKriging:
             for t0 in rng.uniform(0, TWO_PI, 5):
                 lam = model.unbiasedness_measure(float(t0))
                 assert lam.is_allowable(kappa, tol=1e-8)
+
+
+def _spline_fit(n, nugget, seed=50):
+    rng = np.random.default_rng(seed)
+    pts = (np.arange(n) + rng.uniform(-0.3, 0.3, n)) * TWO_PI / n
+    return fit_universal(Dataset(pts, rng.standard_normal(n)),
+                         spline_covariance(2), nugget)
+
+
+class TestWhitenedVariance:
+    @pytest.mark.parametrize("m", [0, 1, _TARGET_BLOCK - 1, _TARGET_BLOCK,
+                                   _TARGET_BLOCK + 1, 2 * _TARGET_BLOCK + 1])
+    @pytest.mark.parametrize("nugget", [0.0, 0.1])
+    def test_matches_the_primal_solve(self, m, nugget):
+        model = _spline_fit(60, nugget)
+        t = np.random.default_rng(m).uniform(0.0, TWO_PI, m)
+        vals, var = model.predict_with_variance(t)
+        assert vals.shape == var.shape == (m,)
+        assert np.array_equal(vals, model.predict(t))
+        want = _primal_variance_oracle(model, t)
+        assert np.all(np.abs(var - want)
+                      <= 1e-9 * max(1.0, model.covariance.phi0))
+
+    def test_scalar_target_keeps_its_shape(self):
+        model = _spline_fit(60, 0.1)
+        vals, var = model.predict_with_variance(1.0)
+        assert np.ndim(vals) == 0 and np.ndim(var) == 0
+        assert vals == model.predict(1.0)
+        assert abs(var - _primal_variance_oracle(model, [1.0])[0]) <= 1e-9
+
+    def test_corrupt_factor_fails_the_bordered_probe(self):
+        # A factor scaled by 1 + 1e-6 still solves its own triangular
+        # systems exactly, so only the bordered solve of the probe column,
+        # checked against the Gram, can see it.
+        model = _spline_fit(60, 0.1)
+        model._solver._chol *= 1.0 + 1.0e-6
+        with pytest.raises(ConditioningError,
+                           match="kriging system: scaled residual"):
+            model.predict_with_variance(np.linspace(0.0, 6.0, 10))
+
+    def test_inexact_whitened_solve_fails_its_gate(self, monkeypatch):
+        model = _spline_fit(60, 0.1)
+        dtrtrs = kriging.lapack.dtrtrs
+
+        def off(a, b, *args, **kwargs):
+            z, info = dtrtrs(a, b, *args, **kwargs)
+            if a is model._solver._chol:
+                z = z * (1.0 + 1.0e-6)
+            return z, info
+
+        monkeypatch.setattr(kriging.lapack, "dtrtrs", off)
+        with pytest.raises(ConditioningError,
+                           match="whitened solve scaled residual"):
+            model.predict_with_variance(np.linspace(0.0, 6.0, 10))
+
+    def test_memory_does_not_grow_with_targets(self):
+        # 2**14 targets at n = 400: the primal solve held several n x m
+        # arrays (about 158 MB); the blocks hold a few n x _TARGET_BLOCK.
+        n, m = 400, 2**14
+        model = _spline_fit(n, 0.01)
+        grid = TWO_PI * np.arange(m) / m
+        (pred, var), extra = _peak_beyond_result(
+            lambda: model.predict_with_variance(grid))
+        assert np.all(np.isfinite(pred)) and np.all(var >= 0.0)
+        assert extra <= 8 * (2 * n * n + 6 * n * _TARGET_BLOCK)
 
 
 class TestOrdinaryKriging:

@@ -116,6 +116,37 @@ class TestKrigingVarianceAgreement:
         assert check.statistic > 1.0e-3
 
 
+class TestWhitenedVarianceAgreement:
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_passes(self, seed):
+        check = _result(primal_dual_checks(seed, n_instances=12),
+                        "whitened-variance-agreement")
+        assert check.passed, check
+        assert 0.0 < check.statistic <= check.threshold
+
+    def test_flags_a_halved_cross_term(self, monkeypatch):
+        # 2 k1.u1 taken once instead of twice.  The variance is wrong, so
+        # kriging-variance-agreement sees it too; the checks that do not
+        # read the variance stay green.
+        quadratic = _SaddleSolver.quadratic
+
+        def halved(self, b, c):
+            l = self._r.shape[0]
+            cross = np.einsum("ij,ij->j",
+                              self._apply("L", "T", b.copy())[:l],
+                              self._triangular(c, trans=1))
+            return quadratic(self, b, c) - cross
+
+        monkeypatch.setattr(_SaddleSolver, "quadratic", halved)
+        report = primal_dual_checks(0, n_instances=6)
+        check = _result(report, "whitened-variance-agreement")
+        assert not check.passed
+        assert check.statistic > 1.0e-3
+        others = [r for r in report.results if "variance" not in r.name]
+        assert len(others) == 4
+        assert all(r.passed for r in others), others
+
+
 class TestSolverAgreement:
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_passes(self, seed):

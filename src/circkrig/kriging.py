@@ -49,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from .circle import CardinalBasis, DiscreteMeasure, NilSpaceBasis, wrap
 from .covariance import IntrinsicCovariance, Semivariogram, SpectralModel
@@ -74,7 +73,7 @@ _MIN_RCOND = 1.0e-15
 # Ceiling on the scaled residual ``|r| / (|A| |x| + |b|)`` of a solve
 # against the bordered matrix, and of the variance's whitened solve.
 _MAX_RESIDUAL = 1.0e-8
-# Targets per block of ``predict_with_variance``: its temporaries are a few
+# Targets per block of a prediction: its temporaries are a few
 # ``n x _TARGET_BLOCK`` arrays whatever the number of targets.
 _TARGET_BLOCK = 256
 
@@ -120,6 +119,22 @@ class Dataset:
         return self.points.size
 
 
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm of ``a`` that neither overflows nor underflows.
+
+    Below magnitude 1e100 and above 1e-100 a plain sum of squares stays
+    inside the float64 range for any array size, and needs no temporary;
+    outside that range the entries are first divided by the largest
+    magnitude.
+    """
+    top = float(np.maximum(a.max(initial=0.0), -a.min(initial=0.0)))
+    if 1e-100 <= top <= 1e100:
+        return float(np.linalg.norm(a))
+    if top == 0.0 or not np.isfinite(top):
+        return top
+    return top * float(np.linalg.norm(a / top))
+
+
 class _SaddleSolver:
     """Null-space Cholesky solver for ``[A Q; Q^T 0] [x; y] = [b; c]``.
 
@@ -139,6 +154,10 @@ class _SaddleSolver:
     """
 
     def __init__(self, matrix: np.ndarray, drift: np.ndarray, context: str):
+        # scipy.linalg is imported by the methods that call it, not with
+        # the module: it is over half of circkrig's start-up (it loads
+        # numpy.f2py and numpy.testing), and simulation never solves.
+        from scipy.linalg import lapack
         n, l = drift.shape
         self._matrix = matrix
         self._drift = drift
@@ -173,9 +192,12 @@ class _SaddleSolver:
 
     def _factor(self, block: np.ndarray):
         """Cholesky factor and reciprocal condition estimate of ``M22``;
-        also keeps ``|L|_F``, which is ``sqrt(trace M22)``."""
+        also keeps ``|L|_F``, which is ``sqrt(trace M22)``, the 2-norm of
+        the square roots of the diagonal."""
+        from scipy.linalg import lapack
         norm = float(np.max(np.abs(block).sum(axis=0)))
-        self._chol_norm = float(np.sqrt(max(np.trace(block), 0.0)))
+        diag = np.maximum(np.diagonal(block), 0.0)
+        self._chol_norm = _norm(np.sqrt(diag))
         chol, info = lapack.dpotrf(block, lower=1)
         if info > 0:
             raise ConditioningError(
@@ -196,6 +218,7 @@ class _SaddleSolver:
                overwrite: bool = False) -> np.ndarray:
         """``H`` (trans "N") or ``H^T`` (trans "T") times ``c`` from the
         left (side "L") or right (side "R")."""
+        from scipy.linalg import lapack
         # LAPACK's optimal workspace: the block size 64 times the width of
         # ``c``, plus the 65 x 64 triangular factor of a reflector block.
         width = c.shape[1] if side == "L" else c.shape[0]
@@ -207,6 +230,7 @@ class _SaddleSolver:
         return out
 
     def _triangular(self, rhs: np.ndarray, trans: int) -> np.ndarray:
+        from scipy.linalg import lapack
         out, info = lapack.dtrtrs(self._r, rhs, lower=0, trans=trans)
         if info != 0:
             raise ConditioningError(f"{self._context}: triangular solve "
@@ -216,6 +240,7 @@ class _SaddleSolver:
     def solve(self, b: np.ndarray, c: np.ndarray | None = None):
         """``(x, y)`` for right-hand sides ``b`` (n or n x m) and ``c``
         (l or l x m; zero when omitted), shaped like them."""
+        from scipy.linalg import lapack
         b = np.asarray(b, dtype=float)
         n, l = self._drift.shape
         rhs = b.reshape(n, -1)
@@ -255,6 +280,7 @@ class _SaddleSolver:
         summed column ``(sum_j b_j, sum_j c_j)`` goes through :meth:`solve`,
         whose bordered gate catches a factor that no longer matches ``A``.
         """
+        from scipy.linalg import blas, lapack
         l = self._drift.shape[1]
         if b.shape[1] == 0:
             return np.zeros(0)
@@ -275,9 +301,8 @@ class _SaddleSolver:
             # L z - w, formed in place of z once its norm is taken.
             resid = blas.dtrmm(1.0, self._chol, z, lower=1, overwrite_b=1)
             resid -= w
-            rel = float(np.linalg.norm(resid) / (
-                self._chol_norm * size + np.linalg.norm(w)
-                + np.finfo(float).tiny))
+            rel = _norm(resid) / (self._chol_norm * size + _norm(w)
+                                  + np.finfo(float).tiny)
             if not np.isfinite(rel) or rel > _MAX_RESIDUAL:
                 raise ConditioningError(
                     f"{self._context}: whitened solve scaled residual "
@@ -288,20 +313,34 @@ class _SaddleSolver:
 
     def _check(self, b, c, x, y):
         """Gate on the scaled residual against the bordered matrix."""
+        from scipy.linalg import blas
         resid = blas.dgemm(1.0, self._matrix.T, x)
         resid = blas.dgemm(1.0, self._drift, y, 1.0, resid, overwrite_c=1)
         resid -= b
-        size = np.hypot(np.linalg.norm(x), np.linalg.norm(y))
-        scale = (self._anorm * size + np.hypot(np.linalg.norm(b),
-                                               np.linalg.norm(c))
+        size = np.hypot(_norm(x), _norm(y))
+        scale = (self._anorm * size + np.hypot(_norm(b), _norm(c))
                  + np.finfo(float).tiny)
-        rel = float(np.hypot(np.linalg.norm(resid),
-                             np.linalg.norm(self._drift.T @ x - c)) / scale)
+        rel = float(np.hypot(_norm(resid), _norm(self._drift.T @ x - c))
+                    / scale)
         if not np.isfinite(rel) or rel > _MAX_RESIDUAL:
             raise ConditioningError(
                 f"{self._context}: scaled residual {rel:.2e}; the system "
                 "is too ill-conditioned to trust")
         self.residual = max(self.residual, rel)
+
+
+def _target_blocks(m: int) -> list[slice]:
+    """Slices of at most ``_TARGET_BLOCK`` of ``m`` targets, in order.
+
+    A lone last target joins the block before it: numpy takes a one-row
+    product through dot, not gemv, and rounds it otherwise than a product
+    over more rows does.
+    """
+    starts = list(range(0, m, _TARGET_BLOCK))
+    if len(starts) > 1 and starts[-1] == m - 1:
+        del starts[-1]
+    return [slice(start, stop)
+            for start, stop in zip(starts, starts[1:] + [m])]
 
 
 def _unbiasedness_measure(model, t0: float) -> DiscreteMeasure:
@@ -419,27 +458,21 @@ class UniversalKrigingModel:
         in the null space as in Rasmussen & Williams, *Gaussian Processes
         for Machine Learning*, 2006, Algorithm 2.1: one triangular solve
         with the Cholesky factor ``L`` of the fit, ``n^2`` flops per target
-        plus as many for its residual gate, and no primal solution.  Targets go in blocks of ``_TARGET_BLOCK``,
-        so temporaries stay a few ``n x _TARGET_BLOCK`` arrays.  Each block
-        is gated twice: on the whitened solve's scaled residual, and by one
-        bordered solve of the block's summed right-hand side, which fails
-        if the factor no longer matches the Gram.  The variance's reading
-        requires the noise interpretation of the nugget: observations are
-        the process plus iid noise of variance ``nugget``, and the target
-        is the noise-free process value.
+        plus as many for its residual gate, and no primal solution.
+        Targets go in blocks of ``_TARGET_BLOCK``, so temporaries stay a
+        few ``n x _TARGET_BLOCK`` arrays.  Each block is gated twice: on
+        the whitened solve's scaled residual, and by one bordered solve of
+        the block's summed right-hand side, which fails if the factor no
+        longer matches the Gram.  The variance's reading requires the noise
+        interpretation of the nugget: observations are the process plus
+        iid noise of variance ``nugget``, and the target is the noise-free
+        process value.
         """
         shape = np.shape(t0)
         t0 = np.asarray(t0, dtype=float).reshape(-1)
         vals = np.empty(t0.size)
         var = np.empty(t0.size)
-        # A lone last target joins the block before it: numpy takes a
-        # one-row product through dot, not gemv, and rounds it otherwise
-        # than predict() does.
-        starts = list(range(0, t0.size, _TARGET_BLOCK))
-        if len(starts) > 1 and starts[-1] == t0.size - 1:
-            del starts[-1]
-        for start, stop in zip(starts, starts[1:] + [t0.size]):
-            block = slice(start, stop)
+        for block in _target_blocks(t0.size):
             k, q = self._sections(t0[block])
             vals[block] = k @ self.kernel_coeffs + q @ self.drift_coeffs
             var[block] = self.covariance.phi0 - self._solver.quadratic(
@@ -473,7 +506,9 @@ class OrdinaryKrigingModel:
     The weights solve ``Gamma eta + rho 1 = tau_vec`` with
     ``sum(eta) = 1``; the prediction is ``eta . y`` and its variance is
     ``eta . tau_vec + rho``.  Both match universal kriging under the
-    covariance ``c0 - tau`` for any admissible ``c0``.
+    covariance ``c0 - tau`` for any admissible ``c0``.  Targets are solved
+    in blocks of ``_TARGET_BLOCK`` columns, so temporaries stay a few
+    ``n x _TARGET_BLOCK`` arrays whatever the number of targets.
     """
 
     def __init__(self, data: Dataset, semivariogram: Semivariogram):
@@ -489,29 +524,37 @@ class OrdinaryKrigingModel:
                                      "ordinary kriging system")
 
     def _solve(self, t0):
-        t0 = np.atleast_1d(np.asarray(t0, dtype=float))
-        tau_vec = np.asarray(
-            self.semivariogram(np.subtract.outer(t0, self.data.points)))
-        eta, neg_rho = self._solver.solve(np.negative(tau_vec.T),
-                                          np.ones((1, t0.size)))
-        return tau_vec, eta, -neg_rho[0]
+        """``(block, tau_vec, eta, rho)`` per block of the flat targets
+        ``t0``: ``tau_vec`` is (block size, n), ``eta`` (n, block size)."""
+        for block in _target_blocks(t0.size):
+            tau_vec = np.asarray(self.semivariogram(
+                np.subtract.outer(t0[block], self.data.points)))
+            eta, neg_rho = self._solver.solve(
+                np.negative(tau_vec.T), np.ones((1, tau_vec.shape[0])))
+            yield block, tau_vec, eta, -neg_rho[0]
 
     def weights(self, t0) -> tuple[np.ndarray, np.ndarray]:
         """Weights ``eta`` (rows sum to 1) and multipliers ``rho``."""
-        _, eta, rho = self._solve(t0)
-        return eta.T, rho
+        t0 = np.asarray(t0, dtype=float).reshape(-1)
+        eta = np.empty((t0.size, self.data.n))
+        rho = np.empty(t0.size)
+        for block, _, eta_block, rho_block in self._solve(t0):
+            eta[block] = eta_block.T
+            rho[block] = rho_block
+        return eta, rho
 
     def predict(self, t0):
-        shape = np.shape(t0)
-        _, eta, _ = self._solve(t0)
-        return (eta.T @ self.data.values).reshape(shape)[()]
+        return self.predict_with_variance(t0)[0]
 
     def predict_with_variance(self, t0) -> tuple[np.ndarray, np.ndarray]:
         shape = np.shape(t0)
-        tau_vec, eta, rho = self._solve(t0)
-        vals = eta.T @ self.data.values
-        var = np.einsum("jn,nj->j", tau_vec, eta) + rho
-        var = np.maximum(var, 0.0)
+        t0 = np.asarray(t0, dtype=float).reshape(-1)
+        vals = np.empty(t0.size)
+        var = np.empty(t0.size)
+        for block, tau_vec, eta, rho in self._solve(t0):
+            vals[block] = eta.T @ self.data.values
+            var[block] = np.einsum("jn,nj->j", tau_vec, eta) + rho
+        np.maximum(var, 0.0, out=var)
         return vals.reshape(shape)[()], var.reshape(shape)[()]
 
     unbiasedness_measure = _unbiasedness_measure

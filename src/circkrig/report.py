@@ -7,13 +7,16 @@ import platform
 from dataclasses import dataclass, field
 
 import numpy
-import scipy
 
 __all__ = ["CheckResult", "Report"]
 
 
 def _versions() -> dict:
     """Versions of circkrig, numpy, scipy and python, for reports."""
+    # Imported here, not with the module, so that importing circkrig
+    # loads no scipy: only a linear solve needs it.
+    import scipy
+
     from . import __version__  # the package defines it after its imports
     return {"circkrig": __version__, "numpy": numpy.__version__,
             "scipy": scipy.__version__,

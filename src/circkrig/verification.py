@@ -13,7 +13,6 @@ import math
 import time
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import config as _config
 from . import covariance as _covariance
@@ -534,6 +533,10 @@ def _bordered_oracle(matrix: np.ndarray, drift: np.ndarray, b: np.ndarray,
     :mod:`circkrig.kriging`; returns ``x``, ``y`` and the 2-norm condition
     number of the bordered matrix.
     """
+    # Imported here, like the solver's own binding in circkrig.kriging, so
+    # that importing circkrig loads no scipy.
+    from scipy.linalg import lapack
+
     n, l = drift.shape
     bordered = np.zeros((n + l, n + l))
     bordered[:n, :n] = matrix

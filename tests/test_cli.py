@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -583,6 +586,76 @@ class TestConfigShapes:
         row = _read_output(out)[0]
         assert np.isclose(float(row["angle"]), 120.0)
         assert np.isclose(float(row["prediction"]), -1.0, atol=1e-9)
+
+
+# Runs the CLI in a fresh interpreter and prints, as its last line, the
+# scipy modules loaded by then, whatever way the command ended.
+_COLD_CLI = """
+import json, sys
+from circkrig.cli import main
+try:
+    main(sys.argv[1:])
+finally:
+    print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]))
+"""
+
+
+def _cold_scipy_modules(*argv):
+    """The scipy modules a fresh ``circkrig`` process loads for ``argv``."""
+    done = subprocess.run([sys.executable, "-c", _COLD_CLI, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                              sys.path)})
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+class TestColdStart:
+    """Commands that solve no linear system never load scipy."""
+
+    @pytest.mark.parametrize("model", [{"kernel": "brownian-bridge"},
+                                       {"kernel": "spline-m2"}])
+    def test_simulate(self, tmp_path, model):
+        out = tmp_path / "sim.csv"
+        config = _write_json(tmp_path / "s.json", {
+            "model": model,
+            "simulate": {"n_realizations": 2, "grid_size": 64, "seed": 1},
+            "io": {"output": str(out)},
+        })
+        assert _cold_scipy_modules("simulate", "--config", config) == []
+        assert len(_read_output(out)) == 2 * 64
+
+    def test_help_and_config_errors(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        shape = _write_json(tmp_path / "shape.json",
+                            {"model": [], "verify": []})
+        assert _cold_scipy_modules("--help") == []
+        for config in (str(bad), shape):
+            for command in ("fit", "simulate", "verify"):
+                assert _cold_scipy_modules(command, "--config", config) == []
+
+    def test_fit_loads_scipy_linalg(self, tmp_path):
+        # The control: a fit solves, so the same probe must see scipy.
+        angles = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+        config = _write_json(tmp_path / "f.json", {
+            "model": {"kernel": "spline-m1"}, "nugget": 0.1,
+            "io": {"data": _write_data(tmp_path / "d.csv", angles,
+                                       np.sin(angles)),
+                   "output": str(tmp_path / "pred.csv"), "grid_size": 8},
+        })
+        assert "scipy.linalg" in _cold_scipy_modules(
+            "fit", "--config", config)
+
+    def test_verify_report_carries_scipy_version(self, tmp_path):
+        out = tmp_path / "report.json"
+        config = _write_json(tmp_path / "v.json", {
+            "verify": {"checks": ["measures"], "n_measures": 5},
+            "io": {"output": str(out)},
+        })
+        _cold_scipy_modules("verify", "--config", config)
+        payload = json.loads(out.read_text())
+        assert payload["pass"] is True
+        assert payload["versions"]["scipy"] == scipy.__version__
 
 
 class TestParser:

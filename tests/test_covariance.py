@@ -443,3 +443,14 @@ def test_import_leaves_out_scipy_integrate():
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(
                               sys.path)})
     assert done.stdout.strip() == "False"
+
+
+def test_import_leaves_out_scipy():
+    # scipy.linalg is over half of the start-up; only a solve needs it.
+    code = ("import sys, circkrig, circkrig.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                              sys.path)})
+    assert done.stdout.strip() == "[]"

@@ -1,7 +1,10 @@
 """Tests for universal and ordinary kriging and trigonometric regression."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from circkrig import (
     TWO_PI,
@@ -20,7 +23,6 @@ from circkrig import (
     spline_covariance,
     trig_regression,
 )
-from circkrig import kriging
 from circkrig.covariance import spline_kernel
 from circkrig.kriging import _MAX_RESIDUAL, _TARGET_BLOCK
 from circkrig.verification import _primal_variance_oracle
@@ -363,7 +365,7 @@ class TestWhitenedVariance:
 
     def test_inexact_whitened_solve_fails_its_gate(self, monkeypatch):
         model = _spline_fit(60, 0.1)
-        dtrtrs = kriging.lapack.dtrtrs
+        dtrtrs = lapack.dtrtrs
 
         def off(a, b, *args, **kwargs):
             z, info = dtrtrs(a, b, *args, **kwargs)
@@ -371,7 +373,7 @@ class TestWhitenedVariance:
                 z = z * (1.0 + 1.0e-6)
             return z, info
 
-        monkeypatch.setattr(kriging.lapack, "dtrtrs", off)
+        monkeypatch.setattr(lapack, "dtrtrs", off)
         with pytest.raises(ConditioningError,
                            match="whitened solve scaled residual"):
             model.predict_with_variance(np.linspace(0.0, 6.0, 10))
@@ -386,6 +388,22 @@ class TestWhitenedVariance:
             lambda: model.predict_with_variance(grid))
         assert np.all(np.isfinite(pred)) and np.all(var >= 0.0)
         assert extra <= 8 * (2 * n * n + 6 * n * _TARGET_BLOCK)
+
+    def test_huge_data_pass_the_gates(self):
+        # At values near 1e200 a plain sum of squares overflows, and the
+        # residual gates read inf / inf = nan on a well-posed system.
+        base = _spline_fit(60, 0.1)
+        t = np.linspace(0.0, TWO_PI, 300, endpoint=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = fit_universal(
+                Dataset(base.data.points, base.data.values * 1e200),
+                spline_covariance(2), 0.1)
+            vals, var = big.predict_with_variance(t)
+        want, want_var = base.predict_with_variance(t)
+        assert np.max(np.abs(vals / 1e200 - want)) <= \
+            1e-12 * np.max(np.abs(want))
+        assert np.array_equal(var, want_var)
 
 
 class TestOrdinaryKriging:
@@ -472,6 +490,44 @@ class TestOrdinaryKriging:
                              self._sv(rng))
         lam = model.unbiasedness_measure(1.0)
         assert lam.is_allowable(1, tol=1e-8)
+
+    @pytest.mark.parametrize("m", [1, _TARGET_BLOCK, _TARGET_BLOCK + 1,
+                                   _TARGET_BLOCK + 2, 2 * _TARGET_BLOCK + 1])
+    def test_blocks_match_one_solve(self, m):
+        # The reference solves every target as one column of one solve.
+        rng = np.random.default_rng(46)
+        n = 30
+        pts = np.sort(rng.uniform(0, TWO_PI, n))
+        model = fit_ordinary(Dataset(pts, rng.standard_normal(n)),
+                             self._sv(rng, n_freq=40))
+        t = rng.uniform(0, TWO_PI, m)
+        tau_vec = model.semivariogram(np.subtract.outer(t, pts))
+        eta, neg_rho = model._solver.solve(-tau_vec.T, np.ones((1, m)))
+        want_eta, want_rho = eta.T, -neg_rho[0]
+        want_var = np.einsum("jn,jn->j", tau_vec, want_eta) + want_rho
+        vals, var = model.predict_with_variance(t)
+        got_eta, got_rho = model.weights(t)
+        assert np.array_equal(vals, model.predict(t))
+        assert np.allclose(got_eta, want_eta, rtol=0, atol=1e-10)
+        assert np.allclose(got_rho, want_rho, rtol=0, atol=1e-10)
+        assert np.allclose(vals, want_eta @ model.data.values, rtol=0,
+                           atol=1e-10)
+        assert np.allclose(var, np.maximum(want_var, 0.0), rtol=0,
+                           atol=1e-10)
+
+    def test_memory_does_not_grow_with_targets(self):
+        # 4096 targets at n = 400: one solve over every target held about
+        # 53 MB of temporaries; the blocks hold a few n x _TARGET_BLOCK.
+        n, m = 400, 4096
+        rng = np.random.default_rng(50)
+        pts = (np.arange(n) + rng.uniform(-0.3, 0.3, n)) * TWO_PI / n
+        model = fit_ordinary(Dataset(pts, rng.standard_normal(n)),
+                             Semivariogram(spline_covariance(2)))
+        grid = TWO_PI * np.arange(m) / m
+        (pred, var), extra = _peak_beyond_result(
+            lambda: model.predict_with_variance(grid))
+        assert np.all(np.isfinite(pred)) and np.all(var >= 0.0)
+        assert extra <= 8 * (2 * n * n + 6 * n * _TARGET_BLOCK)
 
 
 class TestTrigRegression:

@@ -23,8 +23,8 @@ __all__ = ["block", "flag", "number", "numbers", "simulation_size",
 # A simulate run holds its whole (n_realizations, grid_size) batch: 2**27
 # float64 values are 1 GiB.
 MAX_SIMULATED_VALUES = 2**27
-# A fit solves for every prediction point at once, so memory grows with
-# the data size times this.
+# Predictions and variances are written per grid point, so memory grows
+# with this through the output; the solves take blocks of 256 targets.
 MAX_PREDICTION_GRID = 2**16
 # A power-law spectrum holds its frequencies and weights as arrays, and a
 # series covariance costs a sine and a cosine per point and frequency: at

@@ -127,10 +127,6 @@ class SpectralModel:
         return cls(kappa=kappa, a=a, p=p, n_max=n_max)
 
     @property
-    def is_power(self) -> bool:
-        return self.values is None
-
-    @property
     def support_end(self) -> int:
         """Largest represented frequency; kappa - 1 for an empty list."""
         return self.n_max

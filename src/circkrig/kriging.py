@@ -28,8 +28,8 @@ So one Cholesky factorization of that ``(n - dim)``-square block, plus two
 ``dim x dim`` triangular solves for the drift, replaces an indefinite
 factorization of the whole bordered matrix; a failed Cholesky means the
 model is not valid at these points.  A constant shift of the covariance
-drops out, because ``Z^T 1 = 0``.  Ordinary kriging runs the same solver on
-``-Gamma`` with ``Q = 1``, a semivariogram being conditionally negative
+drops out, because ``Z^T 1 = 0``.  So ordinary kriging is the order-1 model
+on the covariance ``-tau``, a semivariogram being conditionally negative
 definite.
 
 Every solve is gated on its scaled residual against the bordered matrix.
@@ -343,16 +343,6 @@ def _target_blocks(m: int) -> list[slice]:
             for start, stop in zip(starts, starts[1:] + [m])]
 
 
-def _unbiasedness_measure(model, t0: float) -> DiscreteMeasure:
-    """The error functional as a measure: weights at the data angles and
-    -1 at the target.  Allowable at the model order by construction."""
-    eta, _ = model.weights([float(t0)])
-    return DiscreteMeasure(
-        np.concatenate([model.data.points, [float(t0)]]),
-        np.concatenate([eta[0], [-1.0]]),
-    )
-
-
 def _resolve_basis(basis, kappa: int):
     if basis == "trig":
         return NilSpaceBasis(kappa)
@@ -428,26 +418,31 @@ class UniversalKrigingModel:
         return (self.covariance.gram(t0, self.data.points),
                 self.basis.design_matrix(t0))
 
-    def _primal(self, t0):
-        """``k``, ``q`` and the primal solution ``eta`` (m, n), ``rho``
-        (m, dim) from one solve with every target as a column."""
-        k, q = self._sections(t0)
-        eta, rho = self._solver.solve(k.T, q.T)
-        return k, q, eta.T, rho.T
-
     def predict(self, t0):
-        """Predicted value(s) via the dual expansion; shape-preserving."""
+        """Predicted value(s) via the dual expansion; shape-preserving.
+        Targets go in blocks of ``_TARGET_BLOCK``, as for the variance."""
         shape = np.shape(t0)
-        k, q = self._sections(t0)
-        vals = k @ self.kernel_coeffs + q @ self.drift_coeffs
+        t0 = np.asarray(t0, dtype=float).reshape(-1)
+        vals = np.empty(t0.size)
+        for block in _target_blocks(t0.size):
+            k, q = self._sections(t0[block])
+            vals[block] = k @ self.kernel_coeffs + q @ self.drift_coeffs
         return vals.reshape(shape)[()]
 
     def weights(self, t0) -> tuple[np.ndarray, np.ndarray]:
         """Primal weights ``eta`` and multipliers ``rho`` per location.
 
-        Returns arrays of shape (len(t0), n) and (len(t0), dim).
+        Returns arrays of shape (len(t0), n) and (len(t0), dim), solved in
+        blocks of ``_TARGET_BLOCK`` targets to bound the temporaries.
         """
-        _, _, eta, rho = self._primal(t0)
+        t0 = np.asarray(t0, dtype=float).reshape(-1)
+        eta = np.empty((t0.size, self.data.n))
+        rho = np.empty((t0.size, self.basis.dim))
+        for block in _target_blocks(t0.size):
+            k, q = self._sections(t0[block])
+            eta_block, rho_block = self._solver.solve(k.T, q.T)
+            eta[block] = eta_block.T
+            rho[block] = rho_block.T
         return eta, rho
 
     def predict_with_variance(self, t0) -> tuple[np.ndarray, np.ndarray]:
@@ -481,7 +476,14 @@ class UniversalKrigingModel:
         np.maximum(var, 0.0, out=var)
         return vals.reshape(shape)[()], var.reshape(shape)[()]
 
-    unbiasedness_measure = _unbiasedness_measure
+    def unbiasedness_measure(self, t0: float) -> DiscreteMeasure:
+        """The error functional as a measure: weights at the data angles and
+        -1 at the target.  Allowable at the model order by construction."""
+        eta, _ = self.weights([float(t0)])
+        return DiscreteMeasure(
+            np.concatenate([self.data.points, [float(t0)]]),
+            np.concatenate([eta[0], [-1.0]]),
+        )
 
 
 def fit_universal(data: Dataset, covariance, nugget: float = 0.0,
@@ -500,64 +502,31 @@ def fit_universal(data: Dataset, covariance, nugget: float = 0.0,
     return UniversalKrigingModel(data, covariance, nugget, basis)
 
 
-class OrdinaryKrigingModel:
+class OrdinaryKrigingModel(UniversalKrigingModel):
     """Ordinary kriging from a semivariogram (order-1, no nugget).
 
     The weights solve ``Gamma eta + rho 1 = tau_vec`` with
     ``sum(eta) = 1``; the prediction is ``eta . y`` and its variance is
-    ``eta . tau_vec + rho``.  Both match universal kriging under the
-    covariance ``c0 - tau`` for any admissible ``c0``.  Targets are solved
-    in blocks of ``_TARGET_BLOCK`` columns, so temporaries stay a few
-    ``n x _TARGET_BLOCK`` arrays whatever the number of targets.
+    ``eta . tau_vec + rho``.  Every allowable measure annihilates constants,
+    so this is universal kriging on the covariance ``-tau``, as on
+    ``c0 - tau`` for any admissible ``c0`` (Cressie 1993, sections
+    3.2-3.4); only :meth:`weights` differs, to report the ordinary ``rho``.
     """
 
     def __init__(self, data: Dataset, semivariogram: Semivariogram):
         if not isinstance(semivariogram, Semivariogram):
             raise TypeError("semivariogram must be a Semivariogram")
-        self.data = data
         self.semivariogram = semivariogram
-        # A semivariogram is conditionally negative definite, so the solver
-        # runs on -Gamma: (-Gamma) eta + 1 (-rho) = -tau_vec, 1^T eta = 1.
-        neg_gamma = np.negative(semivariogram(
-            np.subtract.outer(data.points, data.points)))
-        self._solver = _SaddleSolver(neg_gamma, np.ones((data.n, 1)),
-                                     "ordinary kriging system")
-
-    def _solve(self, t0):
-        """``(block, tau_vec, eta, rho)`` per block of the flat targets
-        ``t0``: ``tau_vec`` is (block size, n), ``eta`` (n, block size)."""
-        for block in _target_blocks(t0.size):
-            tau_vec = np.asarray(self.semivariogram(
-                np.subtract.outer(t0[block], self.data.points)))
-            eta, neg_rho = self._solver.solve(
-                np.negative(tau_vec.T), np.ones((1, tau_vec.shape[0])))
-            yield block, tau_vec, eta, -neg_rho[0]
+        cov = semivariogram.covariance
+        # -tau(theta) = phi(theta) - phi(0): the constant drops by phi(0).
+        super().__init__(data, cov.with_shift(cov.shift - cov.phi0), 0.0,
+                         "trig")
 
     def weights(self, t0) -> tuple[np.ndarray, np.ndarray]:
-        """Weights ``eta`` (rows sum to 1) and multipliers ``rho``."""
-        t0 = np.asarray(t0, dtype=float).reshape(-1)
-        eta = np.empty((t0.size, self.data.n))
-        rho = np.empty(t0.size)
-        for block, _, eta_block, rho_block in self._solve(t0):
-            eta[block] = eta_block.T
-            rho[block] = rho_block
-        return eta, rho
-
-    def predict(self, t0):
-        return self.predict_with_variance(t0)[0]
-
-    def predict_with_variance(self, t0) -> tuple[np.ndarray, np.ndarray]:
-        shape = np.shape(t0)
-        t0 = np.asarray(t0, dtype=float).reshape(-1)
-        vals = np.empty(t0.size)
-        var = np.empty(t0.size)
-        for block, tau_vec, eta, rho in self._solve(t0):
-            vals[block] = eta.T @ self.data.values
-            var[block] = np.einsum("jn,nj->j", tau_vec, eta) + rho
-        np.maximum(var, 0.0, out=var)
-        return vals.reshape(shape)[()], var.reshape(shape)[()]
-
-    unbiasedness_measure = _unbiasedness_measure
+        """Weights ``eta`` (rows sum to 1) and multipliers ``rho``, shape
+        (len(t0),): the universal multiplier with the opposite sign."""
+        eta, rho = super().weights(t0)
+        return eta, -rho[:, 0]
 
 
 def fit_ordinary(data: Dataset,

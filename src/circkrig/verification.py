@@ -561,9 +561,10 @@ def _primal_variance_oracle(model, t0) -> np.ndarray:
     a full ``dpotrs`` solve and back-transform instead of one triangular
     solve, over all targets at once instead of in blocks.
     """
-    k, q, eta, rho = model._primal(t0)
-    var = (model.covariance.phi0 - np.einsum("mn,mn->m", k, eta)
-           - np.einsum("ml,ml->m", q, rho))
+    k, q = model._sections(t0)
+    eta, rho = model._solver.solve(k.T, q.T)
+    var = (model.covariance.phi0 - np.einsum("mn,nm->m", k, eta)
+           - np.einsum("ml,lm->m", q, rho))
     return np.maximum(var, 0.0)
 
 
@@ -762,19 +763,38 @@ def smoothing_limit_checks(seed: int = 0, n_instances: int = 20,
     ])
 
 
+def _ordinary_oracle(model, t0) -> tuple[np.ndarray, np.ndarray]:
+    """Ordinary kriging predictions ``eta.y`` and variances
+    ``eta.tau + rho`` (clamped at 0) from the primal system
+    ``Gamma eta + rho 1 = tau``, ``sum(eta) = 1``, built from the
+    semivariogram lag by lag and solved by :func:`_bordered_oracle`."""
+    pts = model.data.points
+    t0 = np.atleast_1d(np.asarray(t0, dtype=float))
+    tau = model.semivariogram(np.subtract.outer(t0, pts))
+    neg_gamma = np.negative(model.semivariogram(np.subtract.outer(pts, pts)))
+    # (-Gamma) eta + 1 (-rho) = -tau, 1^T eta = 1.
+    eta, neg_rho, _ = _bordered_oracle(neg_gamma, np.ones((pts.size, 1)),
+                                       -tau.T, np.ones((1, t0.size)))
+    var = np.einsum("mn,nm->m", tau, eta) - neg_rho[0]
+    return eta.T @ model.data.values, np.maximum(var, 0.0)
+
+
 def ordinary_universal_checks(seed: int = 0, n_instances: int = 50,
                               n_query: int = 20) -> Report:
     """Ordinary kriging equals universal kriging on the matched covariance.
 
     Order-1 instances: the variogram path (covariance ``c0 - tau``) and
-    the direct ordinary solve must agree in prediction and variance, and
-    both must be invariant under ``c0 -> c0 + 9``.
+    the ordinary model (the universal path on ``-tau``) must agree in
+    prediction and variance, both must be invariant under ``c0 -> c0 + 9``,
+    and the ordinary model must match :func:`_ordinary_oracle`, the dense
+    primal solve.
     """
     rng = np.random.default_rng([seed, 505])
     worst_pred = 0.0
     worst_var = 0.0
     worst_shift = 0.0
     worst_moment = 0.0
+    worst_primal = 0.0
     for _ in range(int(n_instances)):
         n = int(rng.integers(2, 15))
         model = _rich_spectrum(rng, 1, n)
@@ -810,6 +830,10 @@ def ordinary_universal_checks(seed: int = 0, n_instances: int = 50,
         )
         worst_moment = max(worst_moment,
                            _unbiasedness_residual(ok, t0s, 1))
+        want_v, want_s2 = _ordinary_oracle(ok, t0s)
+        worst_primal = max(worst_primal,
+                           float(np.max(np.abs(ok_v - want_v))) / scale,
+                           float(np.max(np.abs(ok_s2 - want_s2))) / var_scale)
 
     return Report([
         CheckResult("ordinary-universal-prediction", worst_pred, 1.0e-9,
@@ -822,6 +846,9 @@ def ordinary_universal_checks(seed: int = 0, n_instances: int = 50,
                     "predictions and variances under c0 -> c0 + 9"),
         CheckResult("unbiasedness-ordinary", worst_moment, 1.0e-8,
                     worst_moment <= 1.0e-8),
+        CheckResult("ordinary-primal-agreement", worst_primal, 1.0e-9,
+                    worst_primal <= 1.0e-9,
+                    "against the dense primal solve"),
     ])
 
 

@@ -267,6 +267,18 @@ class TestUniversalKriging:
         assert np.all(np.isfinite(pred)) and np.all(var >= 0.0)
         assert extra <= 8 * (2 * n * n + 6 * n * _TARGET_BLOCK)
 
+    def test_weights_memory_does_not_grow_with_targets(self):
+        # 4096 targets at n = 400: one solve over every target held about
+        # 26 MB of temporaries beside its 13 MB result; the blocks hold a
+        # few n x _TARGET_BLOCK.
+        n, m = 400, 4096
+        model = _spline_fit(n, 0.01)
+        grid = TWO_PI * np.arange(m) / m
+        (eta, rho), extra = _peak_beyond_result(lambda: model.weights(grid))
+        assert eta.shape == (m, n) and rho.shape == (m, 1)
+        assert np.allclose(eta.sum(axis=1), 1.0, atol=1e-8)
+        assert extra <= 8 * (2 * n * n + 6 * n * _TARGET_BLOCK)
+
     def test_basis_choice_does_not_change_predictions(self):
         rng = np.random.default_rng(26)
         pts = np.sort(rng.uniform(0, TWO_PI, 9))
@@ -491,6 +503,25 @@ class TestOrdinaryKriging:
         lam = model.unbiasedness_measure(1.0)
         assert lam.is_allowable(1, tol=1e-8)
 
+    def test_series_is_never_evaluated_lag_by_lag(self, monkeypatch):
+        # The fit and the variances take the factored series Gram; only
+        # phi(0) is evaluated at a lag.
+        call = IntrinsicCovariance.__call__
+
+        def scalar_only(cov, lag):
+            if np.size(lag) > 1:
+                raise AssertionError(f"series evaluated at {np.size(lag)} "
+                                     "lags")
+            return call(cov, lag)
+
+        monkeypatch.setattr(IntrinsicCovariance, "__call__", scalar_only)
+        rng = np.random.default_rng(47)
+        pts = np.sort(rng.uniform(0, TWO_PI, 30))
+        model = fit_ordinary(Dataset(pts, rng.standard_normal(30)),
+                             self._sv(rng, n_freq=40))
+        vals, var = model.predict_with_variance(rng.uniform(0, TWO_PI, 50))
+        assert np.all(np.isfinite(vals)) and np.all(var >= 0.0)
+
     @pytest.mark.parametrize("m", [1, _TARGET_BLOCK, _TARGET_BLOCK + 1,
                                    _TARGET_BLOCK + 2, 2 * _TARGET_BLOCK + 1])
     def test_blocks_match_one_solve(self, m):
@@ -517,7 +548,8 @@ class TestOrdinaryKriging:
 
     def test_memory_does_not_grow_with_targets(self):
         # 4096 targets at n = 400: one solve over every target held about
-        # 53 MB of temporaries; the blocks hold a few n x _TARGET_BLOCK.
+        # 53 MB of temporaries, and sections over every target 26 MB; the
+        # blocks hold a few n x _TARGET_BLOCK.
         n, m = 400, 4096
         rng = np.random.default_rng(50)
         pts = (np.arange(n) + rng.uniform(-0.3, 0.3, n)) * TWO_PI / n
@@ -527,6 +559,9 @@ class TestOrdinaryKriging:
         (pred, var), extra = _peak_beyond_result(
             lambda: model.predict_with_variance(grid))
         assert np.all(np.isfinite(pred)) and np.all(var >= 0.0)
+        assert extra <= 8 * (2 * n * n + 6 * n * _TARGET_BLOCK)
+        pred, extra = _peak_beyond_result(lambda: model.predict(grid))
+        assert np.all(np.isfinite(pred))
         assert extra <= 8 * (2 * n * n + 6 * n * _TARGET_BLOCK)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from circkrig import (
     TWO_PI,
+    OrdinaryKrigingModel,
     UniversalKrigingModel,
     covariance,
     simulate,
@@ -14,6 +15,7 @@ from circkrig.kriging import _SaddleSolver
 from circkrig.verification import (
     _gaps_shrink,
     kernel_checks,
+    ordinary_universal_checks,
     primal_dual_checks,
     run_verification,
     smoothing_limit_checks,
@@ -104,8 +106,9 @@ class TestKrigingVarianceAgreement:
         # phi0 - eta.k without the -rho.q term: at order 1, q = 1 and the
         # multiplier rho is of the order of the variance itself.
         def without_rho(model, t0):
-            k, _, eta, _ = model._primal(t0)
-            var = model.covariance.phi0 - np.einsum("mn,mn->m", k, eta)
+            k, q = model._sections(t0)
+            eta, _ = model._solver.solve(k.T, q.T)
+            var = model.covariance.phi0 - np.einsum("mn,nm->m", k, eta)
             return model.predict(t0), np.maximum(var, 0.0)
 
         monkeypatch.setattr(UniversalKrigingModel, "predict_with_variance",
@@ -114,6 +117,32 @@ class TestKrigingVarianceAgreement:
                         "kriging-variance-agreement")
         assert not check.passed
         assert check.statistic > 1.0e-3
+
+
+class TestOrdinaryPrimalAgreement:
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_passes(self, seed):
+        check = _result(ordinary_universal_checks(seed, n_instances=12),
+                        "ordinary-primal-agreement")
+        assert check.passed, check
+        assert 0.0 < check.statistic <= check.threshold
+
+    def test_flags_a_dropped_multiplier(self, monkeypatch):
+        # eta.tau without the +rho term: the multiplier is of the order of
+        # the variance itself.  Predictions are untouched.
+        def without_rho(model, t0):
+            k, q = model._sections(t0)
+            eta, _ = model._solver.solve(k.T, q.T)
+            var = model.covariance.phi0 - np.einsum("mn,nm->m", k, eta)
+            return model.predict(t0), np.maximum(var, 0.0)
+
+        monkeypatch.setattr(OrdinaryKrigingModel, "predict_with_variance",
+                            without_rho)
+        report = ordinary_universal_checks(0, n_instances=6)
+        check = _result(report, "ordinary-primal-agreement")
+        assert not check.passed
+        assert check.statistic > 1.0e-3
+        assert _result(report, "ordinary-universal-prediction").passed
 
 
 class TestWhitenedVarianceAgreement:

@@ -194,7 +194,8 @@ def cmd_fit(args) -> int:
 
     points_cfg = io_cfg.get("prediction_points")
     if points_cfg is not None:
-        points_cfg = config.numbers(points_cfg, "io.prediction_points")
+        points_cfg = config.numbers(points_cfg, "io.prediction_points",
+                                    max_points=config.MAX_PREDICTION_GRID)
         pred_pts = np.radians(points_cfg) if degrees else points_cfg
         grid_echo = {"prediction_points": points_cfg.tolist()}
     else:

@@ -23,8 +23,10 @@ __all__ = ["block", "flag", "number", "numbers", "simulation_size",
 # A simulate run holds its whole (n_realizations, grid_size) batch: 2**27
 # float64 values are 1 GiB.
 MAX_SIMULATED_VALUES = 2**27
-# Predictions and variances are written per grid point, so memory grows
-# with this through the output; the solves take blocks of 256 targets.
+# Ceiling on the prediction targets of a fit, whether an io.grid_size or
+# the length of io.prediction_points.  Predictions and variances are written
+# per target, so memory grows with this through the output; the solves take
+# blocks of 256 targets.
 MAX_PREDICTION_GRID = 2**16
 # A power-law spectrum holds its frequencies and weights as arrays, and a
 # series covariance costs a sine and a cosine per point and frequency: at
@@ -62,10 +64,14 @@ def number(value, name: str, *, integer: bool = False, minimum=None,
     return int(value) if integer else float(value)
 
 
-def numbers(value, name: str) -> np.ndarray:
-    """A list of finite numbers as a 1-D float array."""
+def numbers(value, name: str, *, max_points=None) -> np.ndarray:
+    """A list of finite numbers, at most ``max_points`` of them when given,
+    as a 1-D float array."""
     if not isinstance(value, (list, tuple, np.ndarray)):
         raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    if max_points is not None and len(value) > max_points:
+        raise ValueError(f"{name} must hold at most {max_points} points, "
+                         f"got {len(value)}")
     return np.array([number(v, f"{name}[{i}]") for i, v in enumerate(value)],
                     dtype=float)
 

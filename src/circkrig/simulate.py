@@ -12,14 +12,9 @@ a process that is stationary only through its order-1 increments.
 
 Both samplers return one read-only ``(n_realizations, grid_size)`` array,
 and the checks below take one.  Row ``i`` is realization ``i`` at the
-angles ``2*pi*arange(G)/G``; under master seed ``s`` its draws are always
-those of ``numpy.random.default_rng([s, i])``, independent of batch size or
-order.  That generator is ``PCG64`` seeded by ``SeedSequence([s, i])``
-(O'Neill, *PCG: A Family of Simple Fast Space-Efficient Statistically Good
-Algorithms for Random Number Generation*, 2014).  The ``SeedSequence`` hash
-is integer arithmetic on 32-bit words, so it runs here as one vectorized
-pass over a block of path indices; only the ``PCG64`` construction and the
-draws remain per path.
+angles ``2*pi*arange(G)/G``.  Each batch is drawn from one
+``numpy.random.default_rng(seed)`` stream, filled row by row, so row ``i``
+is the same for every batch of more than ``i`` realizations.
 """
 
 from __future__ import annotations
@@ -28,8 +23,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import PCG64, Generator
-from numpy.random.bit_generator import ISeedSequence
 
 from .circle import TWO_PI, DiscreteMeasure, NilSpaceBasis, angular_distance
 from .covariance import SpectralModel
@@ -59,131 +52,17 @@ def _grid(grid_size: int) -> np.ndarray:
     return TWO_PI * np.arange(grid_size) / grid_size
 
 
-# NumPy's SeedSequence: pool size, hash constants and shift (numpy/random/
-# bit_generator.pyx, after O'Neill's seed_seq_fe).
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
-# Paths hashed per vectorized pass: the seeding workspace is a few dozen
-# arrays of this many 32-bit words, whatever the batch size.
-_SEED_BLOCK = 1024
-
-
-def _seed_words(seed) -> list[int]:
-    """``seed`` as ``SeedSequence`` splits it: little-endian 32-bit words,
-    one word for 0.
-
-    Raises ``ValueError`` for a negative or non-integer seed, where
-    ``default_rng`` would refuse it too.
-    """
+def _generator(seed) -> np.random.Generator:
+    """``numpy.random.default_rng(seed)`` for a non-negative integer
+    ``seed``; ``ValueError`` for anything else, including the sequences
+    ``default_rng`` would accept."""
     try:
         value = operator.index(seed)
     except TypeError:
         raise ValueError(f"seed must be an integer, got {seed!r}") from None
     if value < 0:
         raise ValueError(f"seed must be >= 0, got {value}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _hasher(init: int, mult: int):
-    """``SeedSequence``'s running hash of ``uint32`` words: each call XORs
-    its argument with the current constant, advances the constant by
-    ``mult`` (mod 2**32), then multiplies by it and xorshifts."""
-    const = init
-
-    def hash_words(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value *= np.uint32(const)
-        value ^= value >> _XSHIFT
-        return value
-
-    return hash_words
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``SeedSequence``'s ``mix`` of two pool words, elementwise."""
-    out = x * np.uint32(_MIX_MULT_L)
-    out -= y * np.uint32(_MIX_MULT_R)
-    out ^= out >> _XSHIFT
-    return out
-
-
-def _mix_entropy(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """``SeedSequence.mix_entropy`` on many paths at once.
-
-    ``entropy[k]`` holds entropy word ``k`` of every path, as ``uint32``;
-    returns the pool, word by word.  Words past the pool size enter through
-    the same extra-entropy loop as in NumPy.
-    """
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[k] if k < len(entropy) else zero)
-            for k in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    return pool
-
-
-def _path_states(seed_words: list[int], start: int, stop: int) -> np.ndarray:
-    """Row ``i - start`` is ``SeedSequence([seed, i]).generate_state(4,
-    np.uint64)`` for each path index ``start <= i < stop <= 2**32``."""
-    index = np.arange(start, stop, dtype=np.uint32)
-    pool = _mix_entropy([np.full_like(index, w) for w in seed_words]
-                        + [index])
-    hash_words = _hasher(_INIT_B, _MULT_B)
-    words = np.empty((index.size, 2 * _POOL_SIZE), dtype="<u4")
-    for k in range(2 * _POOL_SIZE):
-        words[:, k] = hash_words(pool[k % _POOL_SIZE])
-    return words.view("<u8").astype(np.uint64, copy=False)
-
-
-class _PathState(ISeedSequence):
-    """Hands ``PCG64`` one precomputed row of :func:`_path_states`, the
-    four ``uint64`` words it asks for."""
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.state
-
-
-def _fill_standard_normal(out: np.ndarray, seed: int) -> np.ndarray:
-    """Fill row ``i`` of ``out`` with the first draws of
-    ``default_rng([seed, i])``, bit for bit.
-
-    Seeds are hashed :data:`_SEED_BLOCK` paths at a time, so the workspace
-    beyond ``out`` does not grow with the number of rows.  Raises
-    ``ValueError`` for a seed ``default_rng`` refuses and for more than
-    ``2**32`` rows, whose indices would not fit one 32-bit word.
-    """
-    seed_words = _seed_words(seed)
-    if out.shape[0] > 2**32:
-        raise ValueError(f"at most 2**32 paths per seed, got {out.shape[0]}")
-    for start in range(0, out.shape[0], _SEED_BLOCK):
-        rows = out[start:start + _SEED_BLOCK]
-        states = _path_states(seed_words, start, start + rows.shape[0])
-        for row, state in zip(rows, states):
-            Generator(PCG64(_PathState(state))).standard_normal(out=row)
-    return out
+    return np.random.default_rng(value)
 
 
 def simulate_irf(model: SpectralModel, n_realizations: int, grid_size: int,
@@ -198,9 +77,12 @@ def simulate_irf(model: SpectralModel, n_realizations: int, grid_size: int,
     n_realizations : int
     grid_size : int
     seed : int
-        Master seed, a non-negative integer; realization ``i`` takes the
-        draws of ``default_rng([seed, i])``: the cosine coefficients, then
-        the sine coefficients, then any random drift coefficients.
+        A non-negative integer.  The batch takes ``2*F + 2*kappa - 1``
+        draws of ``default_rng(seed)`` per realization, row by row: the
+        ``F`` cosine coefficients, then the ``F`` sine coefficients, then
+        the drift coefficients.  The drift draws are taken whether or not
+        ``low_order`` uses them, so a random drift leaves the spectral
+        draws where they are.
     low_order : None, array_like, or float
         Drift-space content.  ``None`` adds nothing; an array of length
         ``2*kappa - 1`` adds that fixed polynomial to every realization; a
@@ -238,9 +120,8 @@ def simulate_irf(model: SpectralModel, n_realizations: int, grid_size: int,
                 )
             fixed_drift = nil.design_matrix(grid) @ coeffs
 
-    n_drift = nil.dim if drift_scale is not None else 0
-    z = _fill_standard_normal(
-        np.empty((int(n_realizations), 2 * n_freq + n_drift)), seed)
+    z = _generator(seed).standard_normal(
+        (int(n_realizations), 2 * n_freq + nil.dim))
     # Bin f of the half-spectrum holds (G/2)(a_f - i b_f), so the inverse
     # real FFT returns sum_f a_f cos(f t) + b_f sin(f t) on the grid.
     half = 0.5 * grid_size * np.sqrt(model.gammas())
@@ -275,18 +156,21 @@ def simulate_brownian_bridge(grid_size: int, n_realizations: int,
     """Sample the circular Brownian bridge on an equispaced grid.
 
     The covariance is ``2*pi*min(s, t) - s*t`` with the path pinned to zero
-    at angle 0.  Path ``i`` is the Cholesky factor of the interior
-    covariance times ``G - 1`` draws of ``default_rng([seed, i])``; the
-    bridge is Markov, so that product is one ``O(G)`` cumulative sum
-    (Glasserman, *Monte Carlo Methods in Financial Engineering*, 2003,
-    section 3.1).  Returns the read-only ``(n_realizations, grid_size)``
-    batch.
+    at angle 0.  The batch is ``G`` draws of ``default_rng(seed)`` per
+    path, row by row, taken straight into the output; path ``i`` is the
+    Cholesky factor of the interior covariance times the last ``G - 1``
+    draws of its row.  The bridge is Markov, so that product is one
+    ``O(G)`` cumulative sum (Glasserman, *Monte Carlo Methods in Financial
+    Engineering*, 2003, section 3.1).  Returns the read-only
+    ``(n_realizations, grid_size)`` batch.
     """
     if n_realizations < 0:
         raise ValueError("n_realizations must be >= 0")
     c, step = _bridge_factor(grid_size)
-    paths = np.zeros((int(n_realizations), grid_size))
-    interior = _fill_standard_normal(paths[:, 1:], seed)
+    paths = _generator(seed).standard_normal(
+        out=np.empty((int(n_realizations), grid_size)))
+    paths[:, 0] = 0.0
+    interior = paths[:, 1:]
     interior *= step
     np.cumsum(interior, axis=1, out=interior)
     interior *= c

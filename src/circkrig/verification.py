@@ -16,7 +16,6 @@ import numpy as np
 
 from . import config as _config
 from . import covariance as _covariance
-from . import simulate as _simulate
 from .circle import (
     TWO_PI,
     CardinalBasis,
@@ -79,11 +78,7 @@ def random_allowable_measure(rng, kappa: int,
         raise ValueError(f"need at least {2 * kappa} atoms at order {kappa}")
     while True:
         loc = rng.uniform(0.0, TWO_PI, natoms)
-        rows = [np.ones(natoms)]
-        for k in range(1, kappa):
-            rows.append(np.cos(k * loc))
-            rows.append(np.sin(k * loc))
-        constraints = np.vstack(rows)
+        constraints = NilSpaceBasis(kappa).design_matrix(loc).T
         w = rng.standard_normal(natoms)
         _, sv, vt = np.linalg.svd(constraints, full_matrices=False)
         rank = int(np.sum(sv > sv[0] * 1.0e-12))
@@ -869,27 +864,15 @@ def _bridge_mean_variance_oracle(panels: int = 400) -> float:
     return float(_simpson(_simpson(kern, h), h) / (4.0 * np.pi**2))
 
 
-def _stream_oracle(out: np.ndarray, seed: int) -> np.ndarray:
-    """Row ``i`` of ``out`` filled with the first draws of
-    ``default_rng([seed, i])``, one generator per row.
-
-    The reference for the sampler's vectorized seeding,
-    ``simulate._fill_standard_normal``.
-    """
-    for i, row in enumerate(out):
-        np.random.default_rng([seed, i]).standard_normal(out=row)
-    return out
-
-
 def _irf_oracle(model: SpectralModel, n_realizations: int, grid_size: int,
                 seed: int, low_order=None) -> np.ndarray:
     """:func:`simulate_irf`'s paths by explicit synthesis.
 
     Builds the ``F x G`` cosine and sine matrices and sums the coefficients
-    of each path against them, in the sampler's draw order; meant for
-    verification-sized grids only.  The draws come from the sampler's own
-    stream, which ``seed-stream-agreement`` checks against
-    :func:`_stream_oracle`, so this oracle isolates the synthesis.
+    of each path against them; meant for verification-sized grids only.
+    The draws are its own, ``2F + 2*kappa - 1`` per path from
+    ``default_rng(seed)``, so the check pins the sampler's draw layout as
+    well as its synthesis.
     """
     grid = TWO_PI * np.arange(grid_size) / grid_size
     freqs = model.frequencies().astype(float)
@@ -897,17 +880,15 @@ def _irf_oracle(model: SpectralModel, n_realizations: int, grid_size: int,
     cos_t = np.cos(np.multiply.outer(freqs, grid))
     sin_t = np.sin(np.multiply.outer(freqs, grid))
     design = NilSpaceBasis(model.kappa).design_matrix(grid)
-    random_drift = low_order is not None and np.ndim(low_order) == 0
-    z = _simulate._fill_standard_normal(np.empty((
-        n_realizations,
-        2 * freqs.size + (design.shape[1] if random_drift else 0))), seed)
+    z = np.random.default_rng(seed).standard_normal(
+        (n_realizations, 2 * freqs.size + design.shape[1]))
     out = np.empty((n_realizations, grid_size))
     for i in range(n_realizations):
         coeff = z[i, :2 * freqs.size].reshape(2, freqs.size) * sd
         out[i] = coeff[0] @ cos_t + coeff[1] @ sin_t
         if low_order is None:
             continue
-        if random_drift:
+        if np.ndim(low_order) == 0:
             drift = z[i, 2 * freqs.size:] * low_order
         else:
             drift = np.asarray(low_order, dtype=float)
@@ -918,8 +899,8 @@ def _irf_oracle(model: SpectralModel, n_realizations: int, grid_size: int,
 def _bridge_oracle(grid_size: int, n_realizations: int,
                    seed: int) -> np.ndarray:
     """:func:`simulate_brownian_bridge`'s paths from a dense Cholesky
-    factor of the interior covariance ``2*pi*min(s, t) - s*t``, on the
-    sampler's own draws (as in :func:`_irf_oracle`).
+    factor of the interior covariance ``2*pi*min(s, t) - s*t``, applied to
+    columns ``1..G-1`` of its own ``(n, G)`` draws from ``default_rng(seed)``.
 
     ``O(G^3)`` time and ``O(G^2)`` memory; meant for verification-sized
     grids only.
@@ -927,11 +908,11 @@ def _bridge_oracle(grid_size: int, n_realizations: int,
     interior = TWO_PI * np.arange(1, grid_size) / grid_size
     chol = np.linalg.cholesky(TWO_PI * np.minimum.outer(interior, interior)
                               - np.outer(interior, interior))
-    draws = _simulate._fill_standard_normal(
-        np.empty((n_realizations, grid_size - 1)), seed)
+    draws = np.random.default_rng(seed).standard_normal(
+        (n_realizations, grid_size))
     out = np.zeros((n_realizations, grid_size))
     for i in range(n_realizations):
-        out[i, 1:] = chol @ draws[i]
+        out[i, 1:] = chol @ draws[i, 1:]
     return out
 
 
@@ -984,44 +965,6 @@ def _synthesis_agreement(rng, n_grids: int) -> float:
                 simulate_brownian_bridge(grid_size, n_paths, seed),
                 _bridge_oracle(grid_size, n_paths, seed)))
     return worst
-
-
-# Master seeds the seed-stream check always covers, besides the suite's
-# own: word boundaries of one to five 32-bit words, one as a numpy integer.
-_EDGE_SEEDS = (0, 2**32 - 1, 2**32, np.uint64(2**64 - 1), 2**64,
-               2**128 + 1)
-# Random master seeds per stationarity-suite run in that check.
-_STREAM_SEEDS = 8
-
-
-def _row_differences(a: np.ndarray, b: np.ndarray) -> int:
-    """Rows of two float64 batches that differ anywhere bit for bit."""
-    return int(np.count_nonzero(np.any(
-        a.view(np.uint64) != b.view(np.uint64), axis=1)))
-
-
-def _stream_agreement(rng, seed: int, n_seeds: int) -> tuple[int, int]:
-    """Rows of the sampler's draws that differ bit for bit from
-    :func:`_stream_oracle`, and the rows compared.
-
-    The master seeds are ``seed``, :data:`_EDGE_SEEDS` and ``n_seeds``
-    random ones of one to six words, each on 1-40 rows of width 1-64.  One
-    more batch at ``seed`` runs past the first hash block.
-    """
-    seeds = [seed, *_EDGE_SEEDS]
-    for _ in range(int(n_seeds)):
-        words = rng.integers(0, 2**32, int(rng.integers(1, 7)))
-        seeds.append(sum(int(w) << (32 * k) for k, w in enumerate(words)))
-    shapes = [(int(rng.integers(1, 41)), int(rng.integers(1, 65)))
-              for _ in seeds]
-    seeds.append(seed)
-    shapes.append((_simulate._SEED_BLOCK + int(rng.integers(1, 65)), 2))
-    differing = 0
-    for s, shape in zip(seeds, shapes):
-        differing += _row_differences(
-            _simulate._fill_standard_normal(np.empty(shape), s),
-            _stream_oracle(np.empty(shape), s))
-    return differing, sum(rows for rows, _ in shapes)
 
 
 def bridge_moment_checks(seed: int = 0, n_realizations: int = 20_000,
@@ -1088,22 +1031,15 @@ def stationarity_checks(seed: int = 0, n_realizations: int = 5000,
     stationary outright.  The negative control feeds the raw bridge itself
     to the covariance comparison and must be flagged.  Both samplers also
     meet their explicit oracles, :func:`_irf_oracle` and
-    :func:`_bridge_oracle`, up to rounding, and their draws match
-    :func:`_stream_oracle` bit for bit (:func:`_stream_agreement`).
+    :func:`_bridge_oracle`, up to rounding.
     """
     worst = _synthesis_agreement(np.random.default_rng([seed, 808]),
                                  _SYNTHESIS_GRIDS)
-    differing, n_rows = _stream_agreement(
-        np.random.default_rng([seed, 809]), seed, _STREAM_SEEDS)
     report = Report([
         CheckResult(
             "simulation-synthesis-agreement", worst, 1.0, worst <= 1.0,
             f"worst gap to the oracles over {_SYNTHESIS_GRIDS} grids, in "
             "units of 16 eps G max(1, max|oracle|)"),
-        CheckResult(
-            "seed-stream-agreement", differing, 0.0, differing == 0,
-            "rows of draws that differ bit for bit from "
-            f"default_rng([s, i]), out of {n_rows}"),
     ])
     bridge = simulate_brownian_bridge(grid_size, n_realizations, seed)
 

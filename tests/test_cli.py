@@ -562,6 +562,18 @@ class TestConfigShapes:
             "error: io.grid_size must be <= 65536, got 65537")
         assert not (tmp_path / "o.csv").exists()
 
+    def test_fit_prediction_points_ceiling(self, tmp_path, capsys):
+        data = _write_data(tmp_path / "d.csv", [0.0, 2.0, 4.0],
+                           [1.0, -1.0, 0.5])
+        config = _write_json(tmp_path / "fit.json", _fit_config(
+            data, str(tmp_path / "o.csv"),
+            **{"io.prediction_points": [0.0] * (2**16 + 1)}))
+        assert main(["fit", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: io.prediction_points must hold at most 65536 points, "
+            "got 65537")
+        assert not (tmp_path / "o.csv").exists()
+
     def test_power_law_cutoff_ceiling(self, tmp_path, capsys):
         # frequencies() would allocate 8 GB for this cutoff
         data = _write_data(tmp_path / "d.csv", [0.0, 2.0, 4.0],

@@ -17,19 +17,13 @@ from circkrig import (
     simulate_brownian_bridge,
     simulate_irf,
 )
-from circkrig import simulate
-from circkrig.verification import (
-    _bit_differences,
-    _bridge_oracle,
-    _irf_oracle,
-    _stream_oracle,
-)
+from circkrig.verification import _bridge_oracle, _irf_oracle
 from test_covariance import _peak_beyond_result
 
 # Ceiling on traced allocation beyond the returned batch at G = 8192.
 MEMORY_CEILING = 64 * 2**20
-# Master seeds of one to five 32-bit words, and a numpy integer.
-STREAM_SEEDS = [0, 2**32 - 1, 2**32, 2**64, 2**128 + 1, np.int64(7)]
+# Seeds of one to five 32-bit words, and a numpy integer.
+WIDE_SEEDS = [0, 2**32 - 1, 2**32, 2**64, 2**128 + 1, np.int64(7)]
 
 
 class TestSimulateIrf:
@@ -40,11 +34,15 @@ class TestSimulateIrf:
         assert np.array_equal(a, b)
 
     def test_batch_size_invariance(self):
-        # realization i depends on (seed, i) only, not on the batch size
+        # the stream fills the batch row by row, so a smaller batch is the
+        # first rows of a larger one, random drift draws included
         spec = SpectralModel.from_list(1, [1.0, 0.5])
-        big = simulate_irf(spec, 5, 32, seed=3)
-        small = simulate_irf(spec, 2, 32, seed=3)
-        assert np.array_equal(big[:2], small)
+        for low_order in (None, 0.7):
+            big = simulate_irf(spec, 5, 32, seed=3, low_order=low_order)
+            small = simulate_irf(spec, 2, 32, seed=3, low_order=low_order)
+            assert np.array_equal(big[:2], small)
+        big = simulate_brownian_bridge(32, 5, seed=3)
+        assert np.array_equal(big[:2], simulate_brownian_bridge(32, 2, 3))
 
     def test_seed_changes_output(self):
         spec = SpectralModel.from_list(1, [1.0])
@@ -111,6 +109,13 @@ class TestSimulateIrf:
             simulate_irf(spec, 1, 16, seed=0, low_order=-1.0)
 
 
+def _assert_within_synthesis_bound(got, want):
+    """``got`` within ``16 eps G max(1, max |want|)`` of ``want``."""
+    scale = (16 * np.finfo(float).eps * got.shape[1]
+             * max(1.0, np.abs(want).max()))
+    assert np.max(np.abs(got - want)) <= scale
+
+
 class TestSeedRegression:
     """The FFT and cumulative-sum samplers reproduce the explicit
     synthesis and the dense Cholesky bridge draw for draw."""
@@ -119,51 +124,31 @@ class TestSeedRegression:
     @pytest.mark.parametrize("low_order", [None, 0.7, [1.0, -0.5, 2.0]])
     def test_irf_matches_explicit_synthesis(self, seed, low_order):
         model = SpectralModel.power_law(2, 1.5, 2.5, n_max=255)
-        got = simulate_irf(model, 4, 512, seed, low_order)
-        want = _irf_oracle(model, 4, 512, seed, low_order)
-        scale = 16 * np.finfo(float).eps * 512 * max(1.0, np.abs(want).max())
-        assert np.max(np.abs(got - want)) <= scale
+        _assert_within_synthesis_bound(
+            simulate_irf(model, 4, 512, seed, low_order),
+            _irf_oracle(model, 4, 512, seed, low_order))
 
     @pytest.mark.parametrize("seed", [0, 20260])
     @pytest.mark.parametrize("grid_size", [2, 3, 64, 1024])
     def test_bridge_matches_dense_cholesky(self, seed, grid_size):
-        got = simulate_brownian_bridge(grid_size, 4, seed)
-        want = _bridge_oracle(grid_size, 4, seed)
-        scale = (16 * np.finfo(float).eps * grid_size
-                 * max(1.0, np.abs(want).max()))
-        assert np.max(np.abs(got - want)) <= scale
+        _assert_within_synthesis_bound(
+            simulate_brownian_bridge(grid_size, 4, seed),
+            _bridge_oracle(grid_size, 4, seed))
 
 
 class TestSeedStream:
-    """Row ``i`` holds the draws of ``default_rng([seed, i])`` bit for bit,
-    with the seeds hashed a block of paths at a time."""
+    """Any non-negative integer seeds ``default_rng(seed)`` as it is."""
 
-    @staticmethod
-    def _with_oracle_stream(monkeypatch, run):
-        fast = run()
-        with monkeypatch.context() as m:
-            m.setattr(simulate, "_fill_standard_normal", _stream_oracle)
-            return fast, run()
-
-    @pytest.mark.parametrize("seed", STREAM_SEEDS)
-    def test_irf_rows(self, monkeypatch, seed):
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_irf_rows(self, seed):
         model = SpectralModel.power_law(2, 1.5, 2.5, n_max=31)
-        got, want = self._with_oracle_stream(
-            monkeypatch, lambda: simulate_irf(model, 5, 64, seed, 0.7))
-        assert _bit_differences(got, want) == 0
+        _assert_within_synthesis_bound(simulate_irf(model, 5, 64, seed, 0.7),
+                                       _irf_oracle(model, 5, 64, seed, 0.7))
 
-    @pytest.mark.parametrize("seed", STREAM_SEEDS)
-    def test_bridge_rows(self, monkeypatch, seed):
-        got, want = self._with_oracle_stream(
-            monkeypatch, lambda: simulate_brownian_bridge(64, 5, seed))
-        assert _bit_differences(got, want) == 0
-
-    @pytest.mark.parametrize("n_paths", [0, 1500])
-    def test_batch_sizes(self, n_paths):
-        assert simulate._SEED_BLOCK < 1500  # so 1500 paths cross a block
-        got = simulate._fill_standard_normal(np.empty((n_paths, 3)), 5)
-        assert _bit_differences(
-            got, _stream_oracle(np.empty((n_paths, 3)), 5)) == 0
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_bridge_rows(self, seed):
+        _assert_within_synthesis_bound(simulate_brownian_bridge(64, 5, seed),
+                                       _bridge_oracle(64, 5, seed))
 
     @pytest.mark.parametrize("seed", [-1, 1.0, 2.5, "3", [1, 2]])
     def test_bad_seed_raises(self, seed):
@@ -173,14 +158,9 @@ class TestSeedStream:
         with pytest.raises(ValueError, match="seed must be"):
             simulate_brownian_bridge(16, 0, seed)
 
-    def test_path_indices_fit_one_word(self):
-        with pytest.raises(ValueError, match="2\\*\\*32 paths"):
-            simulate._fill_standard_normal(np.empty((2**32 + 1, 0)), 0)
-
     def test_seeding_memory_stays_per_block(self):
-        # Hashing every path at once would hold 32 B of states, plus the
-        # words behind them, per path: over 4 MiB at 2**17 paths.  A block
-        # at a time stays far below 1 MiB whatever the batch size.
+        # The bridge draws straight into its output, so a 2**17-path batch
+        # holds nothing per path beyond it: far below 1 MiB.
         out, peak = _peak_beyond_result(
             lambda: simulate_brownian_bridge(2, 2**17, 3))
         assert out.shape == (2**17, 2)

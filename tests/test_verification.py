@@ -9,6 +9,7 @@ from circkrig import (
     UniversalKrigingModel,
     covariance,
     simulate,
+    verification,
     wrap,
 )
 from circkrig.kriging import _SaddleSolver
@@ -224,35 +225,43 @@ class TestSimulationSynthesisAgreement:
                         "simulation-synthesis-agreement")
         assert not check.passed
 
-
-class TestSeedStreamAgreement:
-    @pytest.mark.parametrize("seed", [0, 3, 7])
-    def test_passes(self, seed):
-        check = _result(stationarity_checks(seed, n_realizations=1000,
-                                            grid_size=64),
-                        "seed-stream-agreement")
-        assert check.passed, check
-        assert check.statistic == 0
-
     @staticmethod
-    def _only_stream_check_fails():
+    def _only_synthesis_check_fails():
         report = stationarity_checks(0, n_realizations=1000, grid_size=64)
-        check = _result(report, "seed-stream-agreement")
+        check = _result(report, "simulation-synthesis-agreement")
         assert not check.passed
-        assert check.statistic > 0
         others = [r for r in report.results
-                  if r.name != "seed-stream-agreement"]
+                  if r.name != "simulation-synthesis-agreement"]
         assert all(r.passed for r in others), others
 
-    def test_flags_an_output_multiplier_off_by_one(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_MULT_B", simulate._MULT_B + 1)
-        self._only_stream_check_fails()
+    def test_flags_drift_columns_drawn_first(self, monkeypatch):
+        # Each row of the irf stream read as drift, cosine, sine draws in
+        # place of cosine, sine, drift; the bridge keeps its draws.
+        irf, generator = verification.simulate_irf, simulate._generator
 
-    def test_flags_seed_and_index_words_swapped(self, monkeypatch):
-        mix = simulate._mix_entropy
-        monkeypatch.setattr(simulate, "_mix_entropy",
-                            lambda entropy: mix(entropy[-1:] + entropy[:-1]))
-        self._only_stream_check_fails()
+        class DriftFirst:
+            def __init__(self, seed, dim):
+                self.rng, self.dim = generator(seed), dim
+
+            def standard_normal(self, size):
+                return np.roll(self.rng.standard_normal(size), -self.dim,
+                               axis=1)
+
+        def drift_first(model, *args, **kwargs):
+            dim = 2 * model.kappa - 1
+            with monkeypatch.context() as m:
+                m.setattr(simulate, "_generator",
+                          lambda seed: DriftFirst(seed, dim))
+                return irf(model, *args, **kwargs)
+
+        monkeypatch.setattr(verification, "simulate_irf", drift_first)
+        self._only_synthesis_check_fails()
+
+    def test_flags_seed_off_by_one(self, monkeypatch):
+        generator = simulate._generator
+        monkeypatch.setattr(simulate, "_generator",
+                            lambda seed: generator(seed + 1))
+        self._only_synthesis_check_fails()
 
 
 def test_checks_must_be_a_list():

@@ -29,9 +29,11 @@ MAX_SIMULATED_VALUES = 2**27
 # blocks of 256 targets.
 MAX_PREDICTION_GRID = 2**16
 # A power-law spectrum holds its frequencies and weights as arrays, and a
-# series covariance costs a sine and a cosine per point and frequency: at
-# 2**20 frequencies the two arrays are 16 MiB and a 256-point grid already
-# takes 5e8 trig evaluations.  The default cutoff is 10_000.
+# series Gram over n and m points costs 2*n*m multiply-adds per frequency
+# in GEMMs; its features, built by angle addition, add only about 4*(n + m)
+# per frequency.  At 2**20 frequencies the two arrays are 16 MiB and a
+# 400-point fit with variances on a 256-point grid already takes 5e11
+# multiply-adds.  The default cutoff is 10_000.
 MAX_SPECTRUM_FREQUENCY = 2**20
 
 

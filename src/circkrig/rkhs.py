@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import CardinalBasis
-from .covariance import IntrinsicCovariance, SpectralModel
+from .covariance import (_BLOCK_ELEMENTS, IntrinsicCovariance, SpectralModel,
+                         _features)
 from .errors import SpectrumError
 
 __all__ = [
@@ -72,14 +73,21 @@ class TruncatedFunction:
         return float(self.cos_coeffs[n - 1]), float(self.sin_coeffs[n - 1])
 
     def __call__(self, t):
+        """Evaluate at ``t``; shape-preserving.
+
+        Frequencies are taken ``_BLOCK_ELEMENTS // points`` at a time, at
+        least one, so temporaries stay near ``_BLOCK_ELEMENTS`` feature
+        pairs whatever the degree.
+        """
         t = np.asarray(t, dtype=float)
         flat = np.ravel(t)
         out = np.full(flat.size, self.a0)
-        if self.degree:
-            n = np.arange(1, self.degree + 1, dtype=float)
-            ang = np.multiply.outer(n, flat)
-            out = out + self.cos_coeffs @ np.cos(ang) \
-                + self.sin_coeffs @ np.sin(ang)
+        freqs = np.arange(1.0, self.degree + 1.0)
+        weights = np.stack((self.cos_coeffs, self.sin_coeffs))
+        step = max(1, _BLOCK_ELEMENTS // max(flat.size, 1))
+        for start in range(0, self.degree, step):
+            block = slice(start, start + step)
+            out += _features(flat, freqs[block], weights[:, block]).sum(axis=1)
         return out.reshape(t.shape)[()]
 
 

@@ -44,6 +44,8 @@ __all__ = [
 MIN_STATIONARITY_SAMPLES = 1000
 # Tolerance (in grid steps) for matching requested angles to grid nodes.
 _GRID_SNAP_TOL = 1.0e-9
+# Real-FFT bins held at once while coefficients are recovered from a batch.
+_SPECTRUM_ELEMENTS = 1 << 18
 
 
 def _grid(grid_size: int) -> np.ndarray:
@@ -194,11 +196,14 @@ class CoefficientSample:
 def _coefficient_arrays(values: np.ndarray,
                         n_max: int) -> tuple[np.ndarray, np.ndarray,
                                              np.ndarray]:
-    """Vectorized coefficient recovery for rows of ``values``.
+    """Vectorized coefficient recovery for the rows of a 2-d ``values``.
 
     The rectangle rule on the periodic grid integrates products of
     harmonics exactly as long as all frequencies stay at or below
-    ``(G - 1) // 2``.
+    ``(G - 1) // 2``.  Its sums are the real-FFT bins ``X_n`` of a row:
+    ``(2/G) sum_k z_k cos(n t_k) = (2/G) Re X_n`` and the sine sum is
+    ``-(2/G) Im X_n``.  Rows are transformed ``_SPECTRUM_ELEMENTS // G`` at
+    a time, at least one, so the bins held never grow with the batch.
     """
     g = values.shape[-1]
     if n_max > (g - 1) // 2:
@@ -207,13 +212,14 @@ def _coefficient_arrays(values: np.ndarray,
             f"the limit is {(g - 1) // 2}"
         )
     z0 = values.mean(axis=-1)
-    if n_max == 0:
-        empty = np.zeros(values.shape[:-1] + (0,))
-        return z0, empty, empty
-    n = np.arange(1, n_max + 1, dtype=float)
-    ang = np.multiply.outer(n, _grid(g))
-    cos_c = (2.0 / g) * (values @ np.cos(ang).T)
-    sin_c = (2.0 / g) * (values @ np.sin(ang).T)
+    cos_c = np.empty((values.shape[0], n_max))
+    sin_c = np.empty_like(cos_c)
+    step = max(1, _SPECTRUM_ELEMENTS // g)
+    for start in range(0, values.shape[0], step):
+        rows = slice(start, start + step)
+        bins = np.fft.rfft(values[rows])[:, 1:n_max + 1]
+        np.multiply(bins.real, 2.0 / g, out=cos_c[rows])
+        np.multiply(bins.imag, -2.0 / g, out=sin_c[rows])
     return z0, cos_c, sin_c
 
 

@@ -1,5 +1,6 @@
 """Tests for spectral models, covariances, splines, and variograms."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from circkrig import (
     SpectralModel,
     SpectrumError,
     VariogramShiftError,
+    covariance,
     fit_universal,
     phi_from_variogram,
     spline_covariance,
@@ -25,6 +27,7 @@ from circkrig.verification import (
     _closed_form_oracle,
     _series_oracle,
     _series_rounding_bound,
+    kernel_checks,
 )
 
 # Ceiling on traced allocation beyond a call's own result.
@@ -326,6 +329,49 @@ class TestFactoredSeries:
             lambda: cov(rng.uniform(-10.0, 10.0, 20_000)))
         assert vals.shape == (20_000,)
         assert extra <= MEMORY_CEILING
+
+
+class TestAngleAdditionFeatures:
+    """``_features`` against direct sines and cosines of the outer product."""
+
+    @pytest.mark.parametrize("n_freq",
+                             [1, 2, 3, 4, 15, 16, 17, 255, 256, 257, 1000])
+    def test_matches_direct_trig(self, n_freq):
+        rng = np.random.default_rng(n_freq)
+        eps = np.finfo(float).eps
+        for f0 in (1, 7, 2**20 - n_freq):
+            f = f0 + np.arange(n_freq, dtype=float)
+            for t in (rng.uniform(0.0, TWO_PI, 40),
+                      rng.uniform(-20.0, 20.0, 40)):
+                feats = covariance._features(t, f, None)
+                halves = feats.reshape(t.size, 2, -1)
+                arg = np.multiply.outer(t, f)
+                want = np.stack((np.cos(arg), np.sin(arg)), axis=1)
+                # Each of the two angles rounds once, as f t does directly.
+                bound = 4.0 * eps * (1.0 + f[-1] * np.abs(t))
+                assert np.all(np.abs(halves[:, :, :n_freq] - want)
+                              <= bound[:, None, None])
+                weight = rng.uniform(0.5, 2.0, n_freq)
+                weighted = covariance._features(t, f, weight) \
+                    .reshape(halves.shape)
+                assert np.array_equal(weighted[:, :, :n_freq],
+                                      halves[:, :, :n_freq] * weight)
+                assert np.all(weighted[:, :, n_freq:] == 0.0)
+
+    def test_sine_sign_flip_fails_only_gram_series_agreement(
+            self, monkeypatch):
+        # Mutate the sine-addition row of the real helper:
+        # sin(u + v) = sin u cos v + cos u sin v becomes sin(u - v).
+        source = inspect.getsource(covariance._features)
+        mutated = source.replace("left[:, 1, :, 1] = left[:, 0, :, 0]",
+                                 "left[:, 1, :, 1] = -left[:, 0, :, 0]")
+        assert mutated != source
+        namespace = dict(vars(covariance))
+        exec(mutated, namespace)
+        monkeypatch.setattr(covariance, "_features", namespace["_features"])
+        failed = [r.name for r in kernel_checks(0, n_sets=2).results
+                  if not r.passed]
+        assert failed == ["gram-series-agreement"]
 
 
 class TestSplineKernel:

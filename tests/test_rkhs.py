@@ -15,6 +15,7 @@ from circkrig import (
     semi_inner_product,
 )
 from circkrig.verification import random_allowable_measure
+from test_covariance import _peak_beyond_result
 
 
 def _random_kernel(rng, kappa=None):
@@ -57,6 +58,31 @@ class TestTruncatedFunction:
         f = TruncatedFunction(3.0, [], [])
         assert f.degree == 0
         assert f(1.0) == 3.0
+
+    def test_matches_direct_sum_across_blocks(self):
+        # 300 points take frequencies 873 at a time: three blocks.
+        rng = np.random.default_rng(21)
+        f = TruncatedFunction(rng.standard_normal(),
+                              rng.standard_normal(2000),
+                              rng.standard_normal(2000))
+        t = rng.uniform(-20.0, 20.0, 300)
+        n = np.arange(1.0, 2001.0)
+        direct = f.a0 + np.array([f.cos_coeffs @ np.cos(n * s)
+                                  + f.sin_coeffs @ np.sin(n * s) for s in t])
+        scale = (abs(f.a0) + np.abs(f.cos_coeffs).sum()
+                 + np.abs(f.sin_coeffs).sum())
+        assert np.max(np.abs(f(t) - direct)) <= 1.0e-12 * scale
+
+    def test_memory_does_not_grow_with_degree(self):
+        # Degree 2000 at 2000 points: the whole angle matrix with its
+        # cosine and sine took a 64 MB peak.
+        rng = np.random.default_rng(22)
+        f = TruncatedFunction(1.0, rng.standard_normal(2000),
+                              rng.standard_normal(2000))
+        vals, extra = _peak_beyond_result(
+            lambda: f(rng.uniform(0.0, TWO_PI, 2000)))
+        assert vals.shape == (2000,)
+        assert extra <= 16 * 2**20
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from circkrig import (
     check_translation_stationarity,
     empirical_coefficients,
     simulate_brownian_bridge,
+    simulate,
     simulate_irf,
 )
 from circkrig.verification import _bridge_oracle, _irf_oracle
@@ -211,6 +212,28 @@ class TestEmpiricalCoefficients:
                    + sample.cos_coeffs @ np.cos(np.outer(n, grid))
                    + sample.sin_coeffs @ np.sin(np.outer(n, grid)))
         assert np.allclose(rebuilt, path, atol=1e-10)
+
+    def test_matches_the_dense_rectangle_rule(self):
+        # 5000 rows of 64 points are transformed in two row blocks.
+        rng = np.random.default_rng(23)
+        paths = rng.standard_normal((5000, 64))
+        z0, cos_c, sin_c = simulate._coefficient_arrays(paths, 31)
+        grid = np.arange(64) * TWO_PI / 64
+        n = np.arange(1.0, 32.0)
+        assert np.array_equal(z0, paths.mean(axis=1))
+        assert np.max(np.abs(cos_c - (2.0 / 64) * (
+            paths @ np.cos(np.outer(n, grid)).T))) < 1e-13
+        assert np.max(np.abs(sin_c - (2.0 / 64) * (
+            paths @ np.sin(np.outer(n, grid)).T))) < 1e-13
+
+    def test_memory_on_a_long_path(self):
+        # 65536 points to the highest resolved frequency: the dense
+        # cosine and sine matrices would take about 34 GB.
+        path = np.random.default_rng(24).standard_normal(65536)
+        sample, extra = _peak_beyond_result(
+            lambda: empirical_coefficients(path, n_max=32767))
+        assert sample.cos_coeffs.shape == (32767,)
+        assert extra <= 4 * 2**20
 
     def test_n_max_guard(self):
         spec = SpectralModel.from_list(1, [1.0])
